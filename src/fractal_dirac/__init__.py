@@ -1,14 +1,12 @@
 """Combinatorial Fredholm modules and spectral triples on self-similar sets built on n-cubes."""
 
 from .calculus import (
-    CubePlacement,
     clifford_check,
     commutator_direct,
     commutator_hadamard,
     coordinate_form,
     coordinate_values,
     custom_unitary_form,
-    identity_placement,
     matrix_abs,
     placed_coordinate_form,
     volume_element_abs,
@@ -77,8 +75,6 @@ from .spectral import (
     quantized_volume,
     quantized_volume_truncated,
     residue_limit_samples,
-    reports_from_csv,
-    reports_to_csv,
     spectral_dimension_slope,
     volume_residue_samples,
     weighted_factorization,

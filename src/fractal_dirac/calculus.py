@@ -9,8 +9,6 @@ relation; their ordered product has a scalar absolute value, the volume
 element of the quantized calculus.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cube import _check_dim, f_matrix, g_matrix, vertex_bits, x_matrix
@@ -33,11 +31,6 @@ def _vertex_values(n, values):
     if v.shape != (2**n,):
         raise ValueError(f"expected {2**n} vertex values for n={n}, got shape {v.shape}")
     return v
-
-
-def multiplication_operator(n: int, values) -> np.ndarray:
-    """Diagonal action of a vertex function, in block order."""
-    return np.diag(block_order(_vertex_values(n, values)))
 
 
 def commutator_direct(n: int, values) -> np.ndarray:
@@ -106,11 +99,11 @@ def clifford_check(n: int) -> float:
     return worst
 
 
-def matrix_abs(a: np.ndarray, scalar_tol: float = SCALAR_TOL) -> np.ndarray:
+def matrix_abs(a: np.ndarray) -> np.ndarray:
     """Operator absolute value sqrt(A* A).
 
     A scalar fast-path returns sqrt(c) I when A* A is a scalar multiple of the
-    identity within scalar_tol; otherwise a full symmetric eigendecomposition
+    identity within SCALAR_TOL; otherwise a full symmetric eigendecomposition
     is used.
     """
     a = np.asarray(a)
@@ -118,7 +111,7 @@ def matrix_abs(a: np.ndarray, scalar_tol: float = SCALAR_TOL) -> np.ndarray:
     m = h.shape[0]
     c = h[0, 0].real
     off = h - c * np.eye(m)
-    if np.max(np.abs(off)) <= scalar_tol * max(1.0, abs(c)):
+    if np.max(np.abs(off)) <= SCALAR_TOL * max(1.0, abs(c)):
         return np.sqrt(max(c, 0.0)) * np.eye(m)
     w, vecs = np.linalg.eigh(h)
     w = np.clip(w, 0.0, None)
@@ -144,49 +137,26 @@ def _check_orthogonal(t, tol=ORTHOGONALITY_TOL):
     return t
 
 
-@dataclass(frozen=True)
-class CubePlacement:
-    """An n-cube of edge e_w placed by x -> transform @ (e_w x) + offset."""
+def placed_coordinate_form(cube, alpha: int) -> np.ndarray:
+    """Coordinate commutator block on one placed cube (an ifs.PlacedCube).
 
-    n: int
-    edge_length: float
-    transform: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        t = _check_orthogonal(self.transform)
-        b = np.asarray(self.offset, dtype=float)
-        if t.shape != (self.n, self.n) or b.shape != (self.n,):
-            raise ValueError("transform/offset dimensions do not match n")
-        if self.edge_length <= 0:
-            raise ValueError("edge_length must be positive")
-        object.__setattr__(self, "transform", t)
-        object.__setattr__(self, "offset", b)
-
-    def image_vertices(self) -> np.ndarray:
-        """Placed coordinates of the cube vertices, numbering preserved."""
-        return self.offset + self.edge_length * (vertex_bits(self.n) @ self.transform.T)
-
-
-def identity_placement(n: int, edge_length: float = 1.0) -> CubePlacement:
-    return CubePlacement(n=n, edge_length=edge_length, transform=np.eye(n), offset=np.zeros(n))
-
-
-def placed_coordinate_form(placement: CubePlacement, alpha: int) -> np.ndarray:
-    """Coordinate commutator block on one placed cube.
-
-    For a placement with orthogonal part T and edge e_w this is
+    For a cube with orthogonal part T and edge e_w this is
     (e_w / sqrt(n)) sum_j T[alpha, j] times the j-th coordinate one-form.
+    A cube whose transform is not an orthogonal n x n matrix, or whose edge
+    is not positive, is rejected.
     """
-    n = placement.n
+    n = cube.n
     if not 1 <= alpha <= n:
         raise ValueError(f"axis index must satisfy 1 <= alpha <= {n}, got {alpha}")
-    row = placement.transform[alpha - 1]
+    t = _check_orthogonal(cube.transform)
+    if t.shape != (n, n) or not cube.e_w > 0:
+        raise ValueError(f"expected an {n} x {n} transform and a positive edge")
+    row = t[alpha - 1]
     acc = np.zeros((2**n, 2**n))
     for j in range(1, n + 1):
         if row[j - 1] != 0.0:
             acc = acc + row[j - 1] * coordinate_form(n, j)
-    return (placement.edge_length / np.sqrt(n)) * acc
+    return (cube.e_w / np.sqrt(n)) * acc
 
 
 def custom_unitary_form(u: np.ndarray, values) -> np.ndarray:

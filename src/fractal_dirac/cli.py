@@ -25,7 +25,7 @@ from .ktheory import (
     nonvanish_certificate,
 )
 from .presets import preset, preset_names
-from .render import render_svg
+from .render import write_svg
 from .spectral import (
     QuadratureSpec,
     dixmier_trace_dirac,
@@ -112,7 +112,10 @@ def function_from_expression(expr: str, n: int):
         env = dict(_ALLOWED_CALLS)
         for i in range(n):
             env[f"x{i + 1}"] = float(point[i])
-        return float(eval(code, {"__builtins__": {}}, env))
+        try:
+            return float(eval(code, {"__builtins__": {}}, env))
+        except ArithmeticError as exc:
+            raise ValueError(f"cannot evaluate function expression {expr!r}: {exc}") from exc
 
     return f
 
@@ -212,15 +215,13 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def cmd_render(config: RunConfig, path: str | None) -> int:
     ifs = _load_system(config)
-    doc = render_svg(ifs, config.depth, budget=config.budget)
     out = path or config.out or f"{ifs.label}_depth{config.depth}.svg"
-    with open(out, "w") as fh:
-        fh.write(doc)
+    write_svg(ifs, config.depth, out, budget=config.budget)
     sys.stdout.write(json.dumps({"written": out}, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_verify(config: RunConfig, max_n: int, inject_fault: bool) -> int:
+def cmd_verify(max_n: int, inject_fault: bool) -> int:
     results = _verify.run_all(max_n=max_n, inject_fault=inject_fault)
     failed = 0
     for res in results:
@@ -284,11 +285,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_system=True):
-        if need_system:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--preset", help="preset name, e.g. " + ", ".join(preset_names()))
-            group.add_argument("--file", help="path to an IFS JSON file")
+    def add_common(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", help="preset name, e.g. " + ", ".join(preset_names()))
+        group.add_argument("--file", help="path to an IFS JSON file")
         p.add_argument("--depth", type=int, default=6, help="word depth cutoff")
         p.add_argument("-p", "--exponent", default="auto",
                        help="trace exponent, or 'auto' for the similarity dimension")
@@ -308,7 +308,6 @@ def _build_parser():
     p_render.add_argument("--svg", default=None, help="output SVG path")
 
     p_verify = sub.add_parser("verify", help="run the operator-identity check suite")
-    add_common(p_verify, need_system=False)
     p_verify.add_argument("--max-n", type=int, default=8)
     p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
@@ -336,11 +335,13 @@ def _make_config(args) -> RunConfig:
             exponent = float(exponent)
         except ValueError as exc:
             raise ValueError(f"exponent must be a number or 'auto', got {exponent!r}") from exc
+        if not math.isfinite(exponent):
+            raise ValueError(f"exponent must be finite, got {args.exponent!r}")
     budget = args.budget if args.budget is not None else default_budget()
     return RunConfig(
         command=args.command,
-        preset=getattr(args, "preset", None),
-        file=getattr(args, "file", None),
+        preset=args.preset,
+        file=args.file,
         depth=args.depth,
         exponent=exponent,
         fmt=args.format,
@@ -355,13 +356,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            config = RunConfig(
-                command="verify", preset="cantor_set", file=None, depth=args.depth,
-                exponent="auto", fmt=args.format, out=args.out, seed=args.seed,
-                budget=args.budget if args.budget is not None else default_budget(),
-                samples=args.samples,
-            )
-            return cmd_verify(config, max_n=args.max_n, inject_fault=args.inject_fault)
+            return cmd_verify(max_n=args.max_n, inject_fault=args.inject_fault)
         config = _make_config(args)
         if args.command == "analyze":
             return cmd_analyze(config)

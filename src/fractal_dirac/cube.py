@@ -152,13 +152,3 @@ def grading(n: int) -> np.ndarray:
     m = 2 ** (n - 1)
     return np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
 
-
-def adjacent_vertex_pairs(n: int):
-    """Unordered index pairs (a, b) of vertices joined by a cube edge."""
-    bits = vertex_bits(n)
-    pairs = []
-    for a in range(2**n):
-        for b in range(a + 1, 2**n):
-            if np.sum(bits[a] != bits[b]) == 1:
-                pairs.append((a, b))
-    return pairs

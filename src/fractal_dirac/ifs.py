@@ -14,7 +14,7 @@ from itertools import product as _iter_product
 
 import numpy as np
 
-from .calculus import CubePlacement, _check_orthogonal
+from .calculus import _check_orthogonal
 from .cube import vertex_bits
 from .errors import BudgetExceededError
 
@@ -97,7 +97,12 @@ class IfsSystem:
 
 @dataclass(frozen=True)
 class PlacedCube:
-    """Image of the unit cube under a composed word of similitudes."""
+    """An n-cube of edge e_w placed by x -> e_w * transform @ x + offset.
+
+    Enumeration builds it as the image of the unit cube under a composed word
+    of similitudes, whose orthogonal parts are checked once on the maps;
+    placed_coordinate_form checks a hand-built cube's transform.
+    """
 
     word: Word
     e_w: float
@@ -110,30 +115,29 @@ class PlacedCube:
         """Placed vertex coordinates, cube numbering preserved."""
         return self.offset + self.e_w * (vertex_bits(self.n) @ self.transform.T)
 
-    def placement(self) -> CubePlacement:
-        return CubePlacement(
-            n=self.n, edge_length=self.e_w, transform=self.transform, offset=self.offset
-        )
-
     def center(self) -> np.ndarray:
         return self.offset + self.e_w * (self.transform @ np.full(self.n, 0.5))
+
+    def child(self, s: int, m: Similitude) -> "PlacedCube":
+        """Extend the word by one more (innermost) symbol s naming the similitude m."""
+        # composite g, appended map f: (g o f)(x) = e_g T_g (r T x + b) + b_g
+        return PlacedCube(
+            word=self.word + (s,),
+            e_w=self.e_w * m.ratio,
+            transform=self.transform @ m.matrix,
+            offset=self.e_w * (self.transform @ m.translation) + self.offset,
+            n=self.n,
+        )
 
 
 def compose(ifs: IfsSystem, word) -> PlacedCube:
     """Compose the similitudes named by a word, first symbol outermost."""
-    word = tuple(word)
-    e_w = 1.0
-    t = np.eye(ifs.n)
-    b = np.zeros(ifs.n)
+    cube = PlacedCube(word=(), e_w=1.0, transform=np.eye(ifs.n), offset=np.zeros(ifs.n), n=ifs.n)
     for s in word:
         if not 1 <= s <= ifs.num_maps:
             raise ValueError(f"symbol {s} out of range 1..{ifs.num_maps}")
-        m = ifs.maps[s - 1]
-        # current composite g, appended map f: (g o f)(x) = e_g T_g (r T x + b) + b_g
-        b = e_w * (t @ m.translation) + b
-        t = t @ m.matrix
-        e_w = e_w * m.ratio
-    return PlacedCube(word=word, e_w=e_w, transform=t, offset=b, n=ifs.n)
+        cube = cube.child(s, ifs.maps[s - 1])
+    return cube
 
 
 def word_count(num_symbols: int, depth: int) -> int:
@@ -164,37 +168,22 @@ def enumerate_words(ifs: IfsSystem, depth: int, budget: int | None = None):
         yield from _iter_product(symbols, repeat=j)
 
 
-def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None, top_symbols=None):
+def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
     """Stream placed cubes for all words of length 0..depth in depth-first preorder.
 
     Compositions are reused along the search path, so each cube costs one map
-    application.  top_symbols restricts the first symbol, which lets callers
-    partition the enumeration across workers.
+    application.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_budget(ifs, depth, budget)
-    if top_symbols is None:
-        yield compose(ifs, ())
-        top_symbols = range(1, ifs.num_maps + 1)
-    stack = []
-    if depth >= 1:
-        stack = [compose(ifs, (s,)) for s in sorted(top_symbols, reverse=True)]
+    stack = [compose(ifs, ())]
     while stack:
         cube = stack.pop()
         yield cube
         if len(cube.word) < depth:
             for s in range(ifs.num_maps, 0, -1):
-                m = ifs.maps[s - 1]
-                stack.append(
-                    PlacedCube(
-                        word=cube.word + (s,),
-                        e_w=cube.e_w * m.ratio,
-                        transform=cube.transform @ m.matrix,
-                        offset=cube.e_w * (cube.transform @ m.translation) + cube.offset,
-                        n=ifs.n,
-                    )
-                )
+                stack.append(cube.child(s, ifs.maps[s - 1]))
 
 
 def similarity_dimension(ifs: IfsSystem, tol: float = 1e-12) -> float:

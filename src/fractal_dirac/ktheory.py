@@ -17,9 +17,10 @@ import numpy as np
 from .components import level_one_components
 from .cube import vertex_bits
 from .errors import BudgetExceededError
-from .ifs import IfsSystem, PlacedCube, compose, default_budget
+from .ifs import IfsSystem, compose, default_budget
 
 MEMBERSHIP_TOL = 1e-12
+STABILITY_WINDOW = 3  # final depths whose increments must all vanish
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,6 @@ def index_pairing(
     ifs: IfsSystem,
     proj: ProjectionSpec,
     depth: int,
-    window: int = 3,
     budget: int | None = None,
 ) -> IndexReport:
     """Pairing of the module with a box projection, summed to the cutoff depth.
@@ -169,8 +169,8 @@ def index_pairing(
     Each word contributes (even placed vertices in the support) minus (odd
     ones); balanced cubes that are geometrically guaranteed to stay balanced
     are pruned with their descendants.  stabilized records whether the
-    partial sums were constant over the final window depths; a non-stabilized
-    result is still returned, never silently truncated.
+    partial sums were constant over the final STABILITY_WINDOW depths; a
+    non-stabilized result is still returned, never silently truncated.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -201,33 +201,19 @@ def index_pairing(
         if not inside.any() and _cube_outside_union(verts, proj.regions, MEMBERSHIP_TOL):
             continue
         for s in range(ifs.num_maps, 0, -1):
-            m = ifs.maps[s - 1]
-            stack.append(
-                compose_child(cube, s, m)
-            )
+            stack.append(cube.child(s, ifs.maps[s - 1]))
     partial = []
     running = 0
     for inc in increments:
         running += inc
         partial.append(running)
-    tail = increments[max(0, depth - window + 1): depth + 1]
-    stabilized = len(tail) == window and all(t == 0 for t in tail)
+    tail = increments[max(0, depth - STABILITY_WINDOW + 1): depth + 1]
+    stabilized = len(tail) == STABILITY_WINDOW and all(t == 0 for t in tail)
     return IndexReport(
         value=partial[-1],
         depth_used=depth,
         stabilized=stabilized,
         per_depth=tuple(partial),
-    )
-
-
-def compose_child(cube, s, similitude):
-    """Extend a placed cube by one more (innermost) symbol."""
-    return PlacedCube(
-        word=cube.word + (s,),
-        e_w=cube.e_w * similitude.ratio,
-        transform=cube.transform @ similitude.matrix,
-        offset=cube.e_w * (cube.transform @ similitude.translation) + cube.offset,
-        n=cube.n,
     )
 
 

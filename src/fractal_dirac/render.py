@@ -13,6 +13,8 @@ import numpy as np
 from .cube import oriented_edges, vertex_bits
 from .ifs import IfsSystem, iter_placed
 
+SIZE = 640  # width and height of the figure in pixels
+
 
 def _face_cycle(n):
     """Vertex indices tracing the first-two-axes face boundary, other bits zero."""
@@ -33,7 +35,7 @@ def _project(points, n):
     return pts[:, :2]
 
 
-def render_svg(ifs: IfsSystem, depth: int, size: int = 640, budget: int | None = None) -> str:
+def render_svg(ifs: IfsSystem, depth: int, budget: int | None = None) -> str:
     """SVG document of the first depth+1 construction steps."""
     if ifs.n != 2:
         warnings.warn(
@@ -41,7 +43,7 @@ def render_svg(ifs: IfsSystem, depth: int, size: int = 640, budget: int | None =
             stacklevel=2,
         )
     pad = 0.08
-    scale = size / (1.0 + 2.0 * pad)
+    scale = SIZE / (1.0 + 2.0 * pad)
 
     def to_px(xy):
         x, y = xy
@@ -51,15 +53,15 @@ def render_svg(ifs: IfsSystem, depth: int, size: int = 640, budget: int | None =
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">'
     )
     out.append(
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
         'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
         '<path d="M 0 0 L 10 5 L 0 10 z" fill="#444"/></marker></defs>'
     )
-    out.append(f'<rect width="{size}" height="{size}" fill="white"/>')
+    out.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
     dots = []
     for cube in iter_placed(ifs, depth, budget=budget):
@@ -102,8 +104,8 @@ def render_svg(ifs: IfsSystem, depth: int, size: int = 640, budget: int | None =
     return "\n".join(out) + "\n"
 
 
-def write_svg(ifs: IfsSystem, depth: int, path, size: int = 640, budget: int | None = None):
-    doc = render_svg(ifs, depth, size=size, budget=budget)
+def write_svg(ifs: IfsSystem, depth: int, path, budget: int | None = None):
+    doc = render_svg(ifs, depth, budget=budget)
     with open(path, "w") as fh:
         fh.write(doc)
     return path

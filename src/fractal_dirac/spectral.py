@@ -8,17 +8,14 @@ probability measure is realized by the self-similar weights ratio^dim, which
 is exact for systems satisfying the open set condition.
 """
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import matrix_abs, placed_coordinate_form
-from .cube import adjacent_vertex_pairs
-from .errors import BudgetExceededError, DivergenceError
+from .cube import g_matrix
+from .errors import DivergenceError
 from .ifs import (
     IfsSystem,
     default_budget,
@@ -30,6 +27,8 @@ from .ifs import (
 EQUALITY_TOL = 1e-9  # |p - dim_s| below this counts as the critical exponent
 PRE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
+BLOCK_TOL = 1e-9  # relative deviation of a volume block from a scalar matrix
+RESIDUE_DELTAS = tuple(10.0**-k for k in (3, 4, 5, 6))  # sample points z = 1 + delta
 
 QUANTITIES = (
     "zeta_closed",
@@ -54,43 +53,6 @@ class TraceReport:
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {self.quantity!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "TraceReport":
-        return TraceReport(**json.loads(text))
-
-
-CSV_FIELDS = ("quantity", "p", "value", "dim_s", "depth", "error_bound")
-
-
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for r in reports:
-        writer.writerow({k: ("" if v is None else repr(v) if isinstance(v, float) else v)
-                         for k, v in asdict(r).items()})
-    return buf.getvalue()
-
-
-def reports_from_csv(text: str):
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        out.append(
-            TraceReport(
-                quantity=row["quantity"],
-                p=float(row["p"]),
-                value=float(row["value"]),
-                dim_s=float(row["dim_s"]),
-                depth=int(row["depth"]) if row["depth"] else None,
-                error_bound=float(row["error_bound"]) if row["error_bound"] else None,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -128,39 +90,25 @@ def zeta_closed(ifs: IfsSystem, p: float) -> TraceReport:
     return TraceReport(quantity="zeta_closed", p=p, value=value, dim_s=dim)
 
 
-def zeta_truncated(
-    ifs: IfsSystem,
-    p: float,
-    depth: int,
-    budget: int | None = None,
-    enumeration: str = "auto",
-) -> TraceReport:
+def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = None) -> TraceReport:
     """Partial trace sum over words of length <= depth.
 
     The value is the per-level power form; when the word count fits the
     budget the same sum is recomputed from an actual enumeration of composed
-    ratios and the two must agree (enumeration='require' insists on it,
-    'skip' disables it).  error_bound is the exact geometric tail when the
-    series converges.
+    ratios and the two must agree.  error_bound is the exact geometric tail
+    when the series converges.
     """
     if p <= 0:
         raise ValueError("exponent must be positive")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if enumeration not in ("auto", "require", "skip"):
-        raise ValueError(f"unknown enumeration mode {enumeration!r}")
     dim = similarity_dimension(ifs)
     c = _ratio_power_sum(ifs, p)
     levels = [c**j for j in range(depth + 1)]
     value = 2**ifs.n * math.fsum(levels)
     if budget is None:
         budget = default_budget()
-    total_words = word_count(ifs.num_maps, depth)
-    if enumeration == "require" and total_words > budget:
-        raise BudgetExceededError(
-            f"enumeration of {total_words} words exceeds the budget of {budget}"
-        )
-    if enumeration != "skip" and total_words <= budget:
+    if word_count(ifs.num_maps, depth) <= budget:
         enumerated = _zeta_enumerated(ifs, p, depth)
         if not math.isclose(enumerated, value, rel_tol=1e-9):
             raise AssertionError(
@@ -215,17 +163,24 @@ def dixmier_trace_dirac(ifs: IfsSystem, p: float) -> TraceReport:
     return TraceReport(quantity="dixmier_dirac", p=p, value=value, dim_s=dim)
 
 
-def residue_limit_samples(ifs: IfsSystem, p: float, ks=(3, 4, 5, 6)):
+def residue_limit_samples(ifs: IfsSystem, p: float):
     """Sampled (z-1) * zeta(z p) near z = 1, with polynomial extrapolation to 0.
 
     Returns (deltas, samples, extrapolated); the samples use the closed zeta
     form, so this is an independent route to the residue value.
     """
-    deltas = [10.0**-k for k in ks]
-    samples = []
-    for d in deltas:
-        z = 1.0 + d
-        samples.append(d * zeta_closed(ifs, z * p).value)
+    return _residue_limit(lambda zs: [zeta_closed(ifs, z * p).value for z in zs])
+
+
+def _residue_limit(trace_at):
+    """Samples (z - 1) * R(z) at z = 1 + delta and extrapolates them to z = 1.
+
+    trace_at maps the list of sample points z to the list of values R(z).
+    Returns (deltas, samples, extrapolated).
+    """
+    deltas = list(RESIDUE_DELTAS)
+    values = trace_at([1.0 + d for d in deltas])
+    samples = [d * r for d, r in zip(deltas, values)]
     return deltas, samples, _extrapolate_to_zero(deltas, samples)
 
 
@@ -260,33 +215,28 @@ def quantized_volume(ifs: IfsSystem, p: float) -> TraceReport:
     return TraceReport(quantity="quantized_volume", p=p, value=value, dim_s=dim)
 
 
-def volume_residue_samples(ifs: IfsSystem, p: float, ks=(3, 4, 5, 6)):
+def volume_residue_samples(ifs: IfsSystem, p: float):
     """Sampled residue route for the volume-measure trace at exponent p."""
     n = ifs.n
-    deltas = [10.0**-k for k in ks]
-    samples = []
-    for d in deltas:
-        z = 1.0 + d
+
+    def trace_at(z):
         c = _ratio_power_sum(ifs, n * z * p)
         if c >= 1.0:
             raise DivergenceError(f"volume trace diverges at z*p={z * p}")
-        samples.append(d * (2**n / n ** (n * z * p / 2.0)) / (1.0 - c))
-    return deltas, samples, _extrapolate_to_zero(deltas, samples)
+        return (2**n / n ** (n * z * p / 2.0)) / (1.0 - c)
+
+    return _residue_limit(lambda zs: [trace_at(z) for z in zs])
 
 
 def quantized_volume_truncated(
-    ifs: IfsSystem,
-    p: float,
-    depth: int,
-    budget: int | None = None,
-    block_tol: float = 1e-9,
+    ifs: IfsSystem, p: float, depth: int, budget: int | None = None
 ) -> TraceReport:
     """Partial volume-trace sum built from actual per-word operator blocks.
 
     For every word the ordered product of placed coordinate commutators is
-    formed and its operator absolute value must be scalar; the scalars feed
-    the sum.  This exercises the matrix route rather than the closed scalar
-    shortcut.
+    formed and its operator absolute value must be scalar within BLOCK_TOL;
+    the scalars feed the sum.  This exercises the matrix route rather than
+    the closed scalar shortcut.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -294,11 +244,13 @@ def quantized_volume_truncated(
     n = ifs.n
     total = 0.0
     for cube in iter_placed(ifs, depth, budget=budget):
-        scal, dev = _abs_volume_block(cube)
+        block = _volume_block(cube)
+        scal = float(block[0, 0])
+        dev = float(np.max(np.abs(block - scal * np.eye(2**n))))
         expected = cube.e_w**n / n ** (n / 2.0)
-        if dev > block_tol * max(1.0, expected):
+        if dev > BLOCK_TOL * max(1.0, expected):
             raise AssertionError(
-                f"volume block at word {cube.word} is not scalar within {block_tol:g}"
+                f"volume block at word {cube.word} is not scalar within {BLOCK_TOL:g}"
             )
         total += 2**n * scal**p
     c = _ratio_power_sum(ifs, n * p)
@@ -310,16 +262,12 @@ def quantized_volume_truncated(
     )
 
 
-def _abs_volume_block(cube):
-    placement = cube.placement()
-    n = cube.n
-    prod = np.eye(2**n)
-    for alpha in range(1, n + 1):
-        prod = prod @ placed_coordinate_form(placement, alpha)
-    block = matrix_abs(prod)
-    scal = float(block[0, 0])
-    dev = float(np.max(np.abs(block - scal * np.eye(2**n))))
-    return scal, dev
+def _volume_block(cube):
+    """Operator absolute value of the ordered product of the placed coordinate forms."""
+    prod = np.eye(2**cube.n)
+    for alpha in range(1, cube.n + 1):
+        prod = prod @ placed_coordinate_form(cube, alpha)
+    return matrix_abs(prod)
 
 
 def abs_volume_block_deviation(ifs: IfsSystem, depth: int, budget: int | None = None) -> float:
@@ -327,13 +275,8 @@ def abs_volume_block_deviation(ifs: IfsSystem, depth: int, budget: int | None = 
     n = ifs.n
     worst = 0.0
     for cube in iter_placed(ifs, depth, budget=budget):
-        placement = cube.placement()
-        prod = np.eye(2**n)
-        for alpha in range(1, n + 1):
-            prod = prod @ placed_coordinate_form(placement, alpha)
-        block = matrix_abs(prod)
         expected = cube.e_w**n / n ** (n / 2.0)
-        worst = max(worst, float(np.max(np.abs(block - expected * np.eye(2**n)))))
+        worst = max(worst, float(np.max(np.abs(_volume_block(cube) - expected * np.eye(2**n)))))
     return worst
 
 
@@ -386,12 +329,7 @@ def integrate_hausdorff(
 
 
 def weighted_functional(
-    ifs: IfsSystem,
-    f,
-    p: float,
-    depth: int,
-    budget: int | None = None,
-    ks=(3, 4, 5, 6),
+    ifs: IfsSystem, f, p: float, depth: int, budget: int | None = None
 ) -> TraceReport:
     """Regularized trace of the function-weighted operator at the critical exponent.
 
@@ -402,22 +340,23 @@ def weighted_functional(
     dim = similarity_dimension(ifs)
     if abs(p - dim) > EQUALITY_TOL:
         raise ValueError(f"weighted functional is defined at p = dim_s = {dim:.12g}, got {p}")
-    deltas = [10.0**-k for k in ks]
-    zs = [1.0 + d for d in deltas]
-    level_sums = np.zeros((len(zs), depth + 1))
-    for cube in iter_placed(ifs, depth, budget=budget):
-        tau = math.fsum(float(f(v)) for v in cube.vertices)
-        j = len(cube.word)
+
+    def trace_at(zs):
+        level_sums = np.zeros((len(zs), depth + 1))
+        for cube in iter_placed(ifs, depth, budget=budget):
+            tau = math.fsum(float(f(v)) for v in cube.vertices)
+            j = len(cube.word)
+            for m, z in enumerate(zs):
+                level_sums[m, j] += cube.e_w ** (z * p) * tau
+        totals = []
         for m, z in enumerate(zs):
-            level_sums[m, j] += cube.e_w ** (z * p) * tau
-    samples = []
-    for m, z in enumerate(zs):
-        c = _ratio_power_sum(ifs, z * p)
-        if c >= 1.0:
-            raise DivergenceError("regularized sum requires z > 1")
-        total = float(level_sums[m].sum()) + float(level_sums[m, depth]) * c / (1.0 - c)
-        samples.append(deltas[m] * total)
-    value = _extrapolate_to_zero(deltas, samples)
+            c = _ratio_power_sum(ifs, z * p)
+            if c >= 1.0:
+                raise DivergenceError("regularized sum requires z > 1")
+            totals.append(float(level_sums[m].sum()) + float(level_sums[m, depth]) * c / (1.0 - c))
+        return totals
+
+    _, samples, value = _residue_limit(trace_at)
     err = abs(value - samples[-1])
     return TraceReport(
         quantity="weighted_functional", p=p, value=value, dim_s=dim, depth=depth, error_bound=err
@@ -509,23 +448,22 @@ def commutator_norm_check(ifs: IfsSystem, f, depth: int, budget: int | None = No
     Asserts block_norm <= sqrt(n) * L_edge * e_w with L_edge the maximal edge
     difference quotient of f on the placed cube; the sharper constant without
     the sqrt(n) factor is reported but not enforced.
+    the sqrt(n) factor is reported but not enforced.  g is +-1 exactly on
+    the cube edges (odd row, even column) and 0 elsewhere, so the largest
+    entry of |delta * g| is the largest edge difference of f.
     """
-    from .cube import g_matrix  # local import keeps module load light
-
     n = ifs.n
     g = g_matrix(n)
-    pairs = adjacent_vertex_pairs(n)
     sqrt_n = math.sqrt(n)
     max_weak = 0.0
     max_sharp = 0.0
     blocks = 0
     for cube in iter_placed(ifs, depth, budget=budget):
-        verts = cube.vertices
-        values = np.array([float(f(v)) for v in verts])
-        l_edge = max(abs(values[a] - values[b]) for a, b in pairs) / cube.e_w
+        values = np.array([float(f(v)) for v in cube.vertices])
         delta = values[0::2][None, :] - values[1::2][:, None]
-        lower = (delta * g) / sqrt_n
-        norm = float(np.linalg.norm(lower, 2))
+        edge_diffs = delta * g
+        l_edge = np.max(np.abs(edge_diffs)) / cube.e_w
+        norm = float(np.linalg.norm(edge_diffs / sqrt_n, 2))
         blocks += 1
         bound = l_edge * cube.e_w
         if bound == 0.0:

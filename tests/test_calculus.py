@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_dirac import (
-    CubePlacement,
+    PlacedCube,
     clifford_check,
     commutator_direct,
     commutator_hadamard,
     coordinate_form,
     coordinate_values,
     custom_unitary_form,
-    identity_placement,
     matrix_abs,
     placed_coordinate_form,
     u_matrix,
@@ -130,9 +129,13 @@ def test_matrix_abs_general(rng):
         np.testing.assert_allclose(m @ m, a.conj().T @ a, atol=1e-10)
 
 
-def test_identity_placement_form():
+def _placed(n, e_w, transform, offset):
+    return PlacedCube(word=(), e_w=e_w, transform=transform, offset=offset, n=n)
+
+
+def test_unit_cube_placed_form():
     for n in (1, 2, 3):
-        placement = identity_placement(n)
+        placement = _placed(n, 1.0, np.eye(n), np.zeros(n))
         for alpha in range(1, n + 1):
             np.testing.assert_allclose(
                 placed_coordinate_form(placement, alpha),
@@ -143,12 +146,7 @@ def test_identity_placement_form():
 
 def _rotation_placement(j, theta=np.pi / 4):
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    return CubePlacement(
-        n=2,
-        edge_length=(2.0 * np.sqrt(2.0)) ** -j,
-        transform=np.linalg.matrix_power(rot, j),
-        offset=np.zeros(2),
-    )
+    return _placed(2, (2.0 * np.sqrt(2.0)) ** -j, np.linalg.matrix_power(rot, j), np.zeros(2))
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
@@ -182,13 +180,10 @@ def test_placed_form_equals_vertex_value_commutator(rng, n):
     # independent route: evaluate the coordinate at the placed vertices and
     # push it through the entrywise commutator formula
     for _ in range(5):
-        placement = CubePlacement(
-            n=n,
-            edge_length=float(rng.uniform(0.1, 0.9)),
-            transform=random_orthogonal(rng, n),
-            offset=rng.uniform(-0.5, 0.5, size=n),
+        placement = _placed(
+            n, float(rng.uniform(0.1, 0.9)), random_orthogonal(rng, n), rng.uniform(-0.5, 0.5, size=n)
         )
-        verts = placement.image_vertices()
+        verts = placement.vertices
         for alpha in range(1, n + 1):
             np.testing.assert_allclose(
                 placed_coordinate_form(placement, alpha),
@@ -199,14 +194,9 @@ def test_placed_form_equals_vertex_value_commutator(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_placed_blocks_anticommute(rng, n):
-    placement = CubePlacement(
-        n=n,
-        edge_length=0.37,
-        transform=random_orthogonal(rng, n),
-        offset=np.zeros(n),
-    )
+    placement = _placed(n, 0.37, random_orthogonal(rng, n), np.zeros(n))
     blocks = [placed_coordinate_form(placement, a) for a in range(1, n + 1)]
-    scale = 2.0 * placement.edge_length**2 / n
+    scale = 2.0 * placement.e_w**2 / n
     for a in range(n):
         for b in range(n):
             anti = blocks[a] @ blocks[b] + blocks[b] @ blocks[a]
@@ -217,16 +207,13 @@ def test_placed_blocks_anticommute(rng, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_placed_volume_block_is_scalar(rng, n):
     for _ in range(4):
-        placement = CubePlacement(
-            n=n,
-            edge_length=float(rng.uniform(0.1, 0.9)),
-            transform=random_orthogonal(rng, n),
-            offset=rng.uniform(0.0, 0.1, size=n),
+        placement = _placed(
+            n, float(rng.uniform(0.1, 0.9)), random_orthogonal(rng, n), rng.uniform(0.0, 0.1, size=n)
         )
         prod = np.eye(2**n)
         for alpha in range(1, n + 1):
             prod = prod @ placed_coordinate_form(placement, alpha)
-        expected = placement.edge_length**n / n ** (n / 2.0)
+        expected = placement.e_w**n / n ** (n / 2.0)
         np.testing.assert_allclose(matrix_abs(prod), expected * np.eye(2**n), atol=1e-12)
 
 
@@ -270,9 +257,9 @@ def test_identity_unitary_coordinate_cancellation_reason():
 def test_non_unitary_rejected():
     with pytest.raises(ValueError):
         custom_unitary_form(np.array([[1.0, 0.0], [0.0, 2.0]]), np.zeros(4))
+    sheared = _placed(2, 1.0, np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
-        CubePlacement(n=2, edge_length=1.0, transform=np.array([[1.0, 0.2], [0.0, 1.0]]),
-                      offset=np.zeros(2))
+        placed_coordinate_form(sheared, 1)
 
 
 def test_argument_errors():
@@ -288,3 +275,7 @@ def test_argument_errors():
         clifford_check(11)
     with pytest.raises(CapacityError):
         volume_element_abs(11)
+    with pytest.raises(ValueError):
+        placed_coordinate_form(_placed(2, 1.0, np.eye(3), np.zeros(2)), 1)
+    with pytest.raises(ValueError):
+        placed_coordinate_form(_placed(2, 0.0, np.eye(2), np.zeros(2)), 1)

@@ -215,7 +215,29 @@ def test_function_expressions():
 
 
 def test_exponent_validation(capsys):
-    code, _, err = run_cli(
-        capsys, "analyze", "--preset", "cantor_set", "-p", "abc"
+    for bad in ("abc", "nan", "inf"):
+        code, out, err = run_cli(capsys, "analyze", "--preset", "cantor_set", "-p", bad)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "invalid-input"
+
+
+@pytest.mark.parametrize("expr", ["1/0", "exp(1000)"])
+def test_integrate_arithmetic_error_is_invalid_input(capsys, expr):
+    code, out, err = run_cli(
+        capsys, "integrate", "--preset", "cantor_set", "--function", expr, "--depth", "2"
     )
     assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "invalid-input"
+    assert expr in doc["error"]
+
+
+def test_verify_takes_only_max_n(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--out", "x.txt"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "x.txt").exists()

@@ -11,7 +11,7 @@ from fractal_dirac import (
     vertex_table,
     x_matrix,
 )
-from fractal_dirac.cube import adjacent_vertex_pairs, oriented_edge_set, vertex_bits
+from fractal_dirac.cube import oriented_edge_set, vertex_bits
 
 G2 = np.array([[1, -1], [1, 1]])
 G3 = np.array([[1, -1, 0, -1], [1, 1, -1, 0], [0, 1, 1, -1], [1, 0, 1, 1]])
@@ -56,8 +56,18 @@ def test_parity_split_and_edges(n):
     even = np.sum(table.parity == 0)
     odd = np.sum(table.parity == 1)
     assert even == odd == 2 ** (n - 1)
-    for a, b in adjacent_vertex_pairs(n):
+    for a, b in oriented_edge_set(n):
         assert table.parity[a] != table.parity[b]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oriented_edges_are_hamming_neighbours(n):
+    # the recursive edge set is exactly the set of vertex pairs differing in one coordinate
+    bits = vertex_bits(n)
+    hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+    a, b = np.nonzero(np.triu(hamming == 1))
+    assert {tuple(sorted(e)) for e in oriented_edge_set(n)} == set(zip(a.tolist(), b.tolist()))
+    assert len(oriented_edge_set(n)) == n * 2 ** (n - 1)
 
 
 def test_oriented_edges_small():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fractal_dirac import (
-    BudgetExceededError,
     DivergenceError,
     IfsSystem,
     QuadratureSpec,
@@ -21,8 +20,6 @@ from fractal_dirac import (
     preset,
     quantized_volume,
     quantized_volume_truncated,
-    reports_from_csv,
-    reports_to_csv,
     residue_limit_samples,
     rotation,
     sierpinski_carpet,
@@ -38,22 +35,9 @@ from fractal_dirac import (
 LOG2 = math.log(2.0)
 
 
-def test_trace_report_json_round_trip():
-    report = TraceReport(quantity="zeta_closed", p=1.5, value=7.2, dim_s=0.5, depth=None)
-    assert TraceReport.from_json(report.to_json()) == report
+def test_trace_report_rejects_unknown_quantity():
     with pytest.raises(ValueError):
         TraceReport(quantity="bogus", p=1.0, value=1.0, dim_s=1.0)
-
-
-def test_trace_report_csv_round_trip():
-    reports = [
-        TraceReport(quantity="zeta_truncated", p=1.5, value=7.2, dim_s=0.5, depth=4,
-                    error_bound=0.125),
-        TraceReport(quantity="dixmier_dirac", p=0.5, value=2.0, dim_s=0.5),
-    ]
-    text = reports_to_csv(reports)
-    assert reports_from_csv(text) == reports
-    assert reports_to_csv(reports) == text  # byte stable
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -111,16 +95,23 @@ def test_zeta_truncated_tail_bound():
         assert gap <= trunc.error_bound + 1e-12 * (1.0 + closed)
 
 
-def test_zeta_truncated_enumeration_modes():
+def test_zeta_truncated_enumeration_modes(monkeypatch):
+    from fractal_dirac import spectral
+
     sponge = preset("menger_sponge")
-    with pytest.raises(BudgetExceededError):
-        zeta_truncated(sponge, 3.5, 8, enumeration="require")
-    # auto silently skips the cross-check above budget, still exact
-    a = zeta_truncated(sponge, 3.5, 8, enumeration="auto").value
-    b = zeta_truncated(sponge, 3.5, 8, enumeration="skip").value
-    assert a == b
-    # below budget the enumerated cross-check actually runs
-    zeta_truncated(sponge, 3.5, 3, enumeration="require")
+    calls = []
+    real = spectral._zeta_enumerated
+    monkeypatch.setattr(
+        spectral, "_zeta_enumerated", lambda *args: calls.append(args) or real(*args)
+    )
+    # above the budget the cross-check is skipped; the power form is still exact
+    above = zeta_truncated(sponge, 3.5, 8).value
+    assert calls == []
+    c = 20 * 3.0**-3.5
+    np.testing.assert_allclose(above, 8.0 * (1 - c**9) / (1 - c), rtol=1e-12)
+    # below the budget the enumerated cross-check runs
+    zeta_truncated(sponge, 3.5, 3)
+    assert len(calls) == 1
 
 
 def test_zeta_truncated_below_critical_has_no_bound():
