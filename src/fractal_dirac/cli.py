@@ -114,7 +114,7 @@ def function_from_expression(expr: str, n: int):
             env[f"x{i + 1}"] = float(point[i])
         try:
             return float(eval(code, {"__builtins__": {}}, env))
-        except ArithmeticError as exc:
+        except (ArithmeticError, TypeError) as exc:  # TypeError: a complex value, a bad call
             raise ValueError(f"cannot evaluate function expression {expr!r}: {exc}") from exc
 
     return f
@@ -278,8 +278,15 @@ def cmd_integrate(config: RunConfig, expr: str, mode: str, override_osc: bool) -
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as invalid input, so they reach the JSON error channel."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fractal-dirac",
         description="Trace, pairing, and figure reports for self-similar sets on n-cubes.",
     )
@@ -353,8 +360,8 @@ def _make_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             return cmd_verify(max_n=args.max_n, inject_fault=args.inject_fault)
         config = _make_config(args)

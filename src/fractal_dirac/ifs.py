@@ -2,9 +2,9 @@
 
 Words over the symbol alphabet 1..N compose similitudes left to right (first
 symbol outermost) into placed cubes carrying the product ratio, the composed
-orthogonal part, and the composed translation.  Enumeration is depth-first
-and streaming so deep sums run in constant memory; a configurable budget
-bounds the number of placed cubes visited.
+orthogonal part, and the composed translation.  iter_levels streams them as
+arrays, at most LEVEL_CHUNK words of one length a block, so deep sums run in
+bounded memory; a configurable budget bounds the number of placed cubes visited.
 """
 
 import json
@@ -20,6 +20,7 @@ from .errors import BudgetExceededError
 
 CONTAINMENT_TOL = 1e-9
 DEFAULT_BUDGET = 10**7
+LEVEL_CHUNK = 1 << 14  # most placed cubes in one LevelBlock, for n <= 3
 BUDGET_ENV_VAR = "FRACTAL_DIRAC_BUDGET"
 
 Word = tuple  # sequence of 1-based symbols; the empty tuple is the identity
@@ -115,29 +116,65 @@ class PlacedCube:
         """Placed vertex coordinates, cube numbering preserved."""
         return self.offset + self.e_w * (vertex_bits(self.n) @ self.transform.T)
 
-    def center(self) -> np.ndarray:
-        return self.offset + self.e_w * (self.transform @ np.full(self.n, 0.5))
 
-    def child(self, s: int, m: Similitude) -> "PlacedCube":
-        """Extend the word by one more (innermost) symbol s naming the similitude m."""
-        # composite g, appended map f: (g o f)(x) = e_g T_g (r T x + b) + b_g
-        return PlacedCube(
-            word=self.word + (s,),
-            e_w=self.e_w * m.ratio,
-            transform=self.transform @ m.matrix,
-            offset=self.e_w * (self.transform @ m.translation) + self.offset,
-            n=self.n,
-        )
+@dataclass(frozen=True)
+class LevelBlock:
+    """Placed cubes of consecutive words of one length, one row per word.
+
+    Row i is the cube x -> e_w[i] * transform[i] @ x + offset[i] of the word
+    words[i] (symbols 1..N).
+    """
+
+    level: int
+    words: np.ndarray  # (k, level) symbols, in the smallest unsigned type that holds N
+    e_w: np.ndarray  # (k,)
+    transform: np.ndarray  # (k, n, n)
+    offset: np.ndarray  # (k, n)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """Placed vertex coordinates, shape (k, 2^n, n), cube numbering preserved."""
+        corners = vertex_bits(self.offset.shape[1]) @ self.transform.transpose(0, 2, 1)
+        corners *= self.e_w[:, None, None]
+        corners += self.offset[:, None, :]
+        return corners
+
+    def rows(self, index) -> "LevelBlock":
+        fields = (self.words, self.e_w, self.transform, self.offset)
+        return LevelBlock(self.level, *(x[index] for x in fields))
+
+    def centers(self) -> np.ndarray:
+        half = np.full(self.offset.shape[1], 0.5)
+        return self.offset + self.e_w[:, None] * (self.transform @ half)
+
+
+def _children(ifs: IfsSystem, block: LevelBlock) -> LevelBlock:
+    """Child step: every map appended (innermost) to every row, symbol fastest."""
+    # composite g, appended map f: (g o f)(x) = e_g T_g (r T x + b) + b_g
+    mats = np.stack([m.matrix for m in ifs.maps])
+    trans = np.stack([m.translation for m in ifs.maps])[:, :, None]
+    e, t, big_n, n = block.e_w, block.transform[:, None], ifs.num_maps, ifs.n
+    symbols = np.tile(np.arange(1, big_n + 1, dtype=block.words.dtype), e.size)
+    words = np.column_stack([np.repeat(block.words, big_n, axis=0), symbols])
+    offset = e[:, None, None] * np.matmul(t, trans)[..., 0] + block.offset[:, None]
+    return LevelBlock(block.level + 1, words, np.multiply.outer(e, ifs.ratios).reshape(-1),
+                      np.matmul(t, mats).reshape(-1, n, n), offset.reshape(-1, n))
+
+
+def _root(ifs: IfsSystem) -> LevelBlock:
+    n, symbol = ifs.n, np.min_scalar_type(ifs.num_maps)
+    return LevelBlock(0, np.zeros((1, 0), symbol), np.ones(1), np.eye(n)[None], np.zeros((1, n)))
 
 
 def compose(ifs: IfsSystem, word) -> PlacedCube:
     """Compose the similitudes named by a word, first symbol outermost."""
-    cube = PlacedCube(word=(), e_w=1.0, transform=np.eye(ifs.n), offset=np.zeros(ifs.n), n=ifs.n)
+    cube = _root(ifs)
     for s in word:
         if not 1 <= s <= ifs.num_maps:
             raise ValueError(f"symbol {s} out of range 1..{ifs.num_maps}")
-        cube = cube.child(s, ifs.maps[s - 1])
-    return cube
+        cube = _children(ifs, cube).rows(slice(s - 1, s))
+    return PlacedCube(word=tuple(word), e_w=float(cube.e_w[0]), transform=cube.transform[0],
+                      offset=cube.offset[0], n=ifs.n)
 
 
 def word_count(num_symbols: int, depth: int) -> int:
@@ -155,7 +192,6 @@ def _check_budget(ifs, depth, budget):
         raise BudgetExceededError(
             f"enumerating {total} words of depth <= {depth} exceeds the budget of {budget}"
         )
-    return total
 
 
 def enumerate_words(ifs: IfsSystem, depth: int, budget: int | None = None):
@@ -168,22 +204,43 @@ def enumerate_words(ifs: IfsSystem, depth: int, budget: int | None = None):
         yield from _iter_product(symbols, repeat=j)
 
 
-def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
-    """Stream placed cubes for all words of length 0..depth in depth-first preorder.
+def _sweep(ifs: IfsSystem, block: LevelBlock, depth: int):
+    """Yield block, then its descendants to depth, as iter_levels describes."""
+    keep = yield block
+    if block.level == depth:
+        return
+    rows = np.arange(block.e_w.size) if keep is None else np.flatnonzero(keep)
+    chunk = max(1, LEVEL_CHUNK >> 2 * max(0, ifs.n - 3))
+    group = max(1, chunk // ifs.num_maps)  # parents whose children are built at once
+    for first in range(0, rows.size, group):
+        children = _children(ifs, block.rows(rows[first: first + group]))
+        for start in range(0, children.e_w.size, chunk):
+            yield from _sweep(ifs, children.rows(slice(start, start + chunk)), depth)
 
-    Compositions are reused along the search path, so each cube costs one map
-    application.
+
+def iter_levels(ifs: IfsSystem, depth: int, budget: int | None = None):
+    """Stream the placed cubes of all words of length 0..depth as LevelBlocks.
+
+    Every word appears once, after its prefix, and the words of each length
+    appear in lexicographic order.  A block holds at most LEVEL_CHUNK rows, a
+    quarter as many per dimension above 3 (at least one), so its per-cube
+    2^(n-1) x 2^(n-1) arrays hold at most 16 LEVEL_CHUNK entries to n = 10.  A
+    row mask sent back for a block visits only the subtrees of the rows it
+    marks (a for loop sends None: all).  depth and budget are checked at the call.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_budget(ifs, depth, budget)
-    stack = [compose(ifs, ())]
-    while stack:
-        cube = stack.pop()
-        yield cube
-        if len(cube.word) < depth:
-            for s in range(ifs.num_maps, 0, -1):
-                stack.append(cube.child(s, ifs.maps[s - 1]))
+    return _sweep(ifs, _root(ifs), depth)
+
+
+def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
+    """Stream one PlacedCube per word of length 0..depth, in iter_levels order:
+    each word once, after its prefix, the words of each length lexicographic."""
+    for block in iter_levels(ifs, depth, budget=budget):
+        rows = zip(block.words.tolist(), block.e_w.tolist(), block.transform, block.offset)
+        for word, e, t, b in rows:
+            yield PlacedCube(word=tuple(word), e_w=e, transform=t, offset=b, n=ifs.n)
 
 
 def similarity_dimension(ifs: IfsSystem, tol: float = 1e-12) -> float:

@@ -11,13 +11,14 @@ decided exactly through per-face open/closed flags.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .components import level_one_components
 from .cube import vertex_bits
 from .errors import BudgetExceededError
-from .ifs import IfsSystem, compose, default_budget
+from .ifs import IfsSystem, compose, default_budget, iter_levels
 
 MEMBERSHIP_TOL = 1e-12
 STABILITY_WINDOW = 3  # final depths whose increments must all vanish
@@ -52,13 +53,6 @@ class Box:
         above = np.where(self.lo_closed, pts >= self.lo - tol, pts > self.lo + tol)
         below = np.where(self.hi_closed, pts <= self.hi + tol, pts < self.hi - tol)
         return np.all(above & below, axis=1)
-
-    def strictly_contains_all(self, points, tol: float = MEMBERSHIP_TOL) -> bool:
-        """All points inside the open interior with a safety margin."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(
-            np.all(pts > self.lo + tol) and np.all(pts < self.hi - tol)
-        )
 
 
 def closed_box(lo, hi) -> Box:
@@ -147,15 +141,16 @@ class IndexReport:
     per_depth: tuple  # partial sums by depth
 
 
-def _cube_outside_union(cube_vertices, regions, tol):
-    """Bounding-box separation from every region: sound, not sharp."""
-    lo = cube_vertices.min(axis=0)
-    hi = cube_vertices.max(axis=0)
+def _prunable(verts, regions, tol=MEMBERSHIP_TOL):
+    """Cubes (rows of verts) whose subtrees stay balanced: inside one region's interior
+    with a margin, or with a bounding box apart from every region (sound, not sharp)."""
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    swallowed = np.zeros(len(verts), dtype=bool)
+    separated = np.ones(len(verts), dtype=bool)
     for box in regions:
-        separated = np.any(hi < box.lo - tol) or np.any(lo > box.hi + tol)
-        if not separated:
-            return False
-    return True
+        swallowed |= np.all((verts > box.lo + tol) & (verts < box.hi - tol), axis=(1, 2))
+        separated &= np.any(hi < box.lo - tol, axis=1) | np.any(lo > box.hi + tol, axis=1)
+    return swallowed | separated
 
 
 def index_pairing(
@@ -168,9 +163,10 @@ def index_pairing(
 
     Each word contributes (even placed vertices in the support) minus (odd
     ones); balanced cubes that are geometrically guaranteed to stay balanced
-    are pruned with their descendants.  stabilized records whether the
-    partial sums were constant over the final STABILITY_WINDOW depths; a
-    non-stabilized result is still returned, never silently truncated.
+    are pruned with their descendants, level by level.  budget bounds the
+    visited cubes.  stabilized records whether the partial sums were constant
+    over the final STABILITY_WINDOW depths; a non-stabilized result is still
+    returned, never silently truncated.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -178,35 +174,23 @@ def index_pairing(
         raise ValueError("projection dimension does not match the system")
     if budget is None:
         budget = default_budget()
-    parity = np.arange(2**ifs.n) % 2
-    even_mask = parity == 0
     increments = [0] * (depth + 1)
     visited = 0
-    stack = [compose(ifs, ())]
-    while stack:
-        cube = stack.pop()
-        visited += 1
+    # no word budget for the engine: pruning visits fewer cubes, counted here
+    sweep = iter_levels(ifs, depth, budget=float("inf"))
+    block = next(sweep)
+    while True:
+        visited += block.e_w.size
         if visited > budget:
             raise BudgetExceededError(f"index pairing visited more than {budget} cubes")
-        verts = cube.vertices
-        inside = proj.contains(verts)
-        j = len(cube.word)
-        increments[j] += int(np.sum(inside & even_mask)) - int(np.sum(inside & ~even_mask))
-        if j == depth:
-            continue
-        if bool(inside.all()) and any(
-            box.strictly_contains_all(verts) for box in proj.regions
-        ):
-            continue  # interior of one region swallows the whole subtree
-        if not inside.any() and _cube_outside_union(verts, proj.regions, MEMBERSHIP_TOL):
-            continue
-        for s in range(ifs.num_maps, 0, -1):
-            stack.append(cube.child(s, ifs.maps[s - 1]))
-    partial = []
-    running = 0
-    for inc in increments:
-        running += inc
-        partial.append(running)
+        verts = block.vertices
+        inside = proj.contains(verts.reshape(-1, ifs.n)).reshape(verts.shape[:2])
+        increments[block.level] += int(inside[:, 0::2].sum()) - int(inside[:, 1::2].sum())
+        try:
+            block = sweep.send(~_prunable(verts, proj.regions))
+        except StopIteration:
+            break
+    partial = list(accumulate(increments))
     tail = increments[max(0, depth - STABILITY_WINDOW + 1): depth + 1]
     stabilized = len(tail) == STABILITY_WINDOW and all(t == 0 for t in tail)
     return IndexReport(

@@ -11,9 +11,10 @@ import warnings
 import numpy as np
 
 from .cube import oriented_edges, vertex_bits
-from .ifs import IfsSystem, iter_placed
+from .ifs import IfsSystem, iter_levels, word_count
 
 SIZE = 640  # width and height of the figure in pixels
+DOT_STYLE = ('fill="#c23" />', 'fill="white" stroke="#c23" stroke-width="0.8"/>')  # even, odd
 
 
 def _face_cycle(n):
@@ -63,26 +64,28 @@ def render_svg(ifs: IfsSystem, depth: int, budget: int | None = None) -> str:
     )
     out.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
-    dots = []
-    for cube in iter_placed(ifs, depth, budget=budget):
-        verts = _project(cube.vertices, ifs.n)
-        level = len(cube.word)
-        pts = " ".join("%.3f,%.3f" % to_px(verts[i]) for i in cycle)
-        width = max(0.25, 1.6 * 0.7**level)
-        out.append(
-            f'<polygon points="{pts}" fill="none" stroke="#1a1a8c" '
-            f'stroke-width="{width:.2f}"/>'
-        )
-        radius = max(1.0, 4.0 * cube.e_w)
-        for i, v in enumerate(verts):
-            x, y = to_px(v)
-            if i % 2 == 0:
-                dots.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{radius:.2f}" fill="#c23" />')
-            else:
-                dots.append(
-                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{radius:.2f}" fill="white" '
-                    'stroke="#c23" stroke-width="0.8"/>'
-                )
+    blocks = iter_levels(ifs, depth, budget=budget)  # checks the budget before the lists below
+    # each cube's outline and dots go to its depth-first slot: the word skips
+    # (w_i - 1) sibling subtrees of word_count(N, depth - i) cubes at step i
+    subtree = np.array([word_count(ifs.num_maps, depth - i) for i in range(1, depth + 1)], int)
+    polygons = [None] * word_count(ifs.num_maps, depth)
+    dots = [None] * len(polygons)
+    for block in blocks:
+        slots = (block.words - 1) @ subtree[: block.level] + block.level
+        width = max(0.25, 1.6 * 0.7**block.level)
+        for slot, e, verts in zip(slots.tolist(), block.e_w.tolist(), block.vertices):
+            verts = _project(verts, ifs.n)
+            pts = " ".join("%.3f,%.3f" % to_px(verts[i]) for i in cycle)
+            polygons[slot] = (
+                f'<polygon points="{pts}" fill="none" stroke="#1a1a8c" '
+                f'stroke-width="{width:.2f}"/>'
+            )
+            radius = max(1.0, 4.0 * e)
+            dots[slot] = "\n".join(
+                f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{radius:.2f}" {DOT_STYLE[i % 2]}'
+                for i, (x, y) in enumerate(map(to_px, verts))
+            )
+    out.extend(polygons)
     out.extend(dots)
 
     root = _project(vertex_bits(ifs.n).astype(float), ifs.n)

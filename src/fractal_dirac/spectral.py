@@ -17,8 +17,10 @@ from .calculus import matrix_abs, placed_coordinate_form
 from .cube import g_matrix
 from .errors import DivergenceError
 from .ifs import (
+    LEVEL_CHUNK,
     IfsSystem,
     default_budget,
+    iter_levels,
     iter_placed,
     similarity_dimension,
     word_count,
@@ -305,26 +307,32 @@ def integrate_hausdorff(
     if spec.mode == "deterministic":
         total = 0.0
         wsum = 0.0
-        for cube in iter_placed(ifs, spec.depth, budget=budget):
-            if len(cube.word) != spec.depth:
+        for block in iter_levels(ifs, spec.depth, budget=budget):
+            if block.level != spec.depth:
                 continue
-            w = cube.e_w**dim
-            wsum += w
-            total += w * float(f(cube.center()))
+            for e, center in zip(block.e_w.tolist(), block.centers()):
+                w = e**dim
+                wsum += w
+                total += w * float(f(center))
         if abs(wsum - 1.0) > WEIGHT_SUM_TOL:
             raise AssertionError(f"depth-{spec.depth} weights sum to {wsum!r}, not 1")
         return total
+    # inverse-CDF draws, as Generator.choice(p=...) makes them, LEVEL_CHUNK rows at a time
     rng = np.random.default_rng(spec.seed)
-    probs = weights / weights.sum()
-    draws = rng.choice(ifs.num_maps, size=(spec.sample_count, spec.depth), p=probs)
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
     mats = np.stack([m.matrix for m in ifs.maps])
     trans = np.stack([m.translation for m in ifs.maps])
     ratios = ifs.ratios
-    pts = np.full((spec.sample_count, ifs.n), 0.5)
-    for col in range(spec.depth - 1, -1, -1):
-        s = draws[:, col]
-        pts = ratios[s, None] * np.einsum("kij,kj->ki", mats[s], pts) + trans[s]
-    values = np.array([float(f(pt)) for pt in pts])
+    values = np.empty(spec.sample_count)
+    for start in range(0, spec.sample_count, LEVEL_CHUNK):
+        k = min(LEVEL_CHUNK, spec.sample_count - start)
+        draws = cdf.searchsorted(rng.random((k, spec.depth)), side="right")
+        pts = np.full((k, ifs.n), 0.5)
+        for col in range(spec.depth - 1, -1, -1):
+            s = draws[:, col]
+            pts = ratios[s, None] * np.einsum("kij,kj->ki", mats[s], pts) + trans[s]
+        values[start: start + k] = [float(f(pt)) for pt in pts]
     return float(values.mean())
 
 
@@ -343,11 +351,10 @@ def weighted_functional(
 
     def trace_at(zs):
         level_sums = np.zeros((len(zs), depth + 1))
-        for cube in iter_placed(ifs, depth, budget=budget):
-            tau = math.fsum(float(f(v)) for v in cube.vertices)
-            j = len(cube.word)
+        for block in iter_levels(ifs, depth, budget=budget):
+            tau = _vertex_values(f, block).sum(axis=1)
             for m, z in enumerate(zs):
-                level_sums[m, j] += cube.e_w ** (z * p) * tau
+                level_sums[m, block.level] += float(np.dot(block.e_w ** (z * p), tau))
         totals = []
         for m, z in enumerate(zs):
             c = _ratio_power_sum(ifs, z * p)
@@ -361,6 +368,12 @@ def weighted_functional(
     return TraceReport(
         quantity="weighted_functional", p=p, value=value, dim_s=dim, depth=depth, error_bound=err
     )
+
+
+def _vertex_values(f, block):
+    """f at every placed vertex of the block, shape (k, 2^n)."""
+    v = block.vertices
+    return np.array([float(f(x)) for x in v.reshape(-1, v.shape[2])]).reshape(v.shape[:2])
 
 
 def weighted_factorization(
@@ -447,7 +460,6 @@ def commutator_norm_check(ifs: IfsSystem, f, depth: int, budget: int | None = No
 
     Asserts block_norm <= sqrt(n) * L_edge * e_w with L_edge the maximal edge
     difference quotient of f on the placed cube; the sharper constant without
-    the sqrt(n) factor is reported but not enforced.
     the sqrt(n) factor is reported but not enforced.  g is +-1 exactly on
     the cube edges (odd row, even column) and 0 elsewhere, so the largest
     entry of |delta * g| is the largest edge difference of f.
@@ -458,20 +470,17 @@ def commutator_norm_check(ifs: IfsSystem, f, depth: int, budget: int | None = No
     max_weak = 0.0
     max_sharp = 0.0
     blocks = 0
-    for cube in iter_placed(ifs, depth, budget=budget):
-        values = np.array([float(f(v)) for v in cube.vertices])
-        delta = values[0::2][None, :] - values[1::2][:, None]
-        edge_diffs = delta * g
-        l_edge = np.max(np.abs(edge_diffs)) / cube.e_w
-        norm = float(np.linalg.norm(edge_diffs / sqrt_n, 2))
-        blocks += 1
-        bound = l_edge * cube.e_w
-        if bound == 0.0:
-            if norm > 1e-14:
-                max_weak = math.inf
-            continue
-        max_weak = max(max_weak, norm / (sqrt_n * bound))
-        max_sharp = max(max_sharp, norm / bound)
+    for block in iter_levels(ifs, depth, budget=budget):
+        values = _vertex_values(f, block)
+        edge_diffs = (values[:, None, 0::2] - values[:, 1::2, None]) * g
+        bound = np.max(np.abs(edge_diffs), axis=(1, 2))  # L_edge * e_w
+        norm = np.linalg.norm(edge_diffs / sqrt_n, 2, axis=(1, 2))
+        blocks += block.e_w.size
+        ok = bound != 0.0
+        if np.any(norm[~ok] > 1e-14):
+            max_weak = math.inf
+        max_weak = float(np.max(norm[ok] / (sqrt_n * bound[ok]), initial=max_weak))
+        max_sharp = float(np.max(norm[ok] / bound[ok], initial=max_sharp))
     return NormCheckReport(
         blocks=blocks,
         max_weak_ratio=max_weak,

@@ -66,6 +66,18 @@ def test_budget_exceeded_exit_code(capsys):
     assert json.loads(err)["kind"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("extra", [["--budget", "1000"], []])
+def test_render_budget_exceeded_exit_code(capsys, tmp_path, extra):
+    # the word count is checked before anything is drawn or allocated
+    code, out, err = run_cli(
+        capsys, "render", "--preset", "menger_sponge", "--depth", "20",
+        "--svg", str(tmp_path / "m.svg"), *extra,
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "budget-exceeded"
+    assert not (tmp_path / "m.svg").exists()
+
+
 def test_unknown_preset_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--preset", "nope")
     assert code == 2
@@ -236,8 +248,89 @@ def test_integrate_arithmetic_error_is_invalid_input(capsys, expr):
 
 def test_verify_takes_only_max_n(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--out", "x.txt"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    code, out, err = run_cli(capsys, "verify", "--out", "x.txt")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
     assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--out", "x.txt"],
+        ["analyze", "--preset", "cantor_set", "-p", "-inf"],
+        ["analyze", "--depth", "2"],
+        ["pairing", "--preset", "cantor_set", "--depth", "two"],
+        ["no_such_command"],
+    ],
+)
+def test_usage_errors_are_json_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "invalid-input"
+
+
+def test_usage_error_process_contract():
+    # the whole process: exit code, one JSON line on stderr, no usage text or traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractal_dirac.cli", "analyze", "--preset", "cantor_set",
+         "-p", "-inf"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert [json.loads(line)["kind"] for line in proc.stderr.splitlines()] == ["invalid-input"]
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fractal-dirac verify")
+
+
+@pytest.mark.parametrize("expr", ["(-1)**0.5", "sqrt(1, 2)"])
+def test_integrate_non_real_value_is_invalid_input(capsys, expr):
+    code, out, err = run_cli(
+        capsys, "integrate", "--preset", "cantor_set", "--function", expr, "--depth", "2"
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "invalid-input"
+    assert expr in doc["error"]
+
+
+CHAOS_DUST2_DOC = """{
+  "config": {
+    "budget": 10000000,
+    "command": "integrate",
+    "depth": 10,
+    "exponent": "auto",
+    "file": null,
+    "format": "json",
+    "preset": "cantor_dust2",
+    "samples": 20000,
+    "seed": 5
+  },
+  "function": "1.3*x1 + 0.6*x2",
+  "mode": "chaos_game",
+  "value": 0.949552640518891
+}
+"""
+
+
+def test_integrate_chaos_game_document_is_pinned(capsys, monkeypatch):
+    # two sample chunks; the document is the one an unchunked sampler wrote
+    monkeypatch.delenv("FRACTAL_DIRAC_BUDGET", raising=False)
+    code, out, _ = run_cli(
+        capsys, "integrate", "--preset", "cantor_dust2", "--function", "1.3*x1 + 0.6*x2",
+        "--mode", "chaos_game", "--samples", "20000", "--seed", "5", "--depth", "10",
+    )
+    assert code == 0
+    assert out == CHAOS_DUST2_DOC

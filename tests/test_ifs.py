@@ -24,6 +24,7 @@ from fractal_dirac import (
     similarity_dimension,
     vertex_closure_check,
 )
+from fractal_dirac import ifs as ifs_mod
 from fractal_dirac.cube import vertex_bits
 from fractal_dirac.ifs import word_count
 from fractal_dirac.presets import carpet_index_set
@@ -89,6 +90,70 @@ def test_iter_placed_matches_enumeration():
         assert cube.e_w == ref.e_w
         assert np.array_equal(cube.transform, ref.transform)
         assert np.array_equal(cube.offset, ref.offset)
+
+
+@pytest.mark.parametrize("name", ["rotation:0.7", "non_osc"])
+def test_level_blocks_order_contract(monkeypatch, name):
+    # a tiny chunk forces every level of depth 4 to be split across blocks
+    monkeypatch.setattr(ifs_mod, "LEVEL_CHUNK", 5)
+    ifs = preset(name)
+    seen = set()
+    by_length = {}
+    for block in ifs_mod.iter_levels(ifs, 4):
+        assert 1 <= block.e_w.size <= 5
+        assert block.words.shape == (block.e_w.size, block.level)
+        for i, word in enumerate(map(tuple, block.words.tolist())):
+            assert word not in seen and word[:-1] in seen | {()}  # once, after its prefix
+            seen.add(word)
+            by_length.setdefault(len(word), []).append(word)
+            ref = compose(ifs, word)
+            assert block.e_w[i] == ref.e_w
+            assert np.array_equal(block.transform[i], ref.transform)
+            assert np.array_equal(block.offset[i], ref.offset)
+            assert np.array_equal(block.vertices[i], ref.vertices)
+            center = ref.offset + ref.e_w * (ref.transform @ np.full(ifs.n, 0.5))
+            assert np.array_equal(block.centers()[i], center)
+    assert len(seen) == word_count(ifs.num_maps, 4)
+    for words in by_length.values():
+        assert words == sorted(words)
+
+
+# rows recorded from the depth-first walk before the level engine, written out so
+# the child arithmetic is checked against values it did not produce
+_ROTATION_B = [[-0.9422223406686582, -0.3349881501559052], [0.33498815015590533, -0.9422223406686583]]
+_RECORDED_ROWS = [
+    ("rotation:0.7", (1, 4, 2, 3), 0.015624999999999995, _ROTATION_B,
+     [0.302787392408583, 0.38965730168208546]),
+    ("rotation:0.7", (3, 3, 1, 2), 0.015624999999999995, _ROTATION_B,
+     [0.1648769558333082, 0.7444140604050145]),
+    ("non_osc", (2, 1, 2, 2), 0.012345679012345678, np.eye(2), [0.7654320987654321, 0.0]),
+    ("non_osc", (5, 4, 3, 2), 0.024691358024691357, np.eye(2),
+     [0.6604938271604938, 0.7592592592592592]),
+]
+
+
+@pytest.mark.parametrize("name,word,e_w,transform,offset", _RECORDED_ROWS)
+def test_level_rows_equal_recorded_values(monkeypatch, name, word, e_w, transform, offset):
+    monkeypatch.setattr(ifs_mod, "LEVEL_CHUNK", 5)
+    for block in ifs_mod.iter_levels(preset(name), 4):
+        hits = np.flatnonzero((block.words == word).all(axis=1)) if block.level == 4 else []
+        for i in hits:
+            assert block.e_w[i] == e_w
+            assert np.array_equal(block.transform[i], transform)
+            assert np.array_equal(block.offset[i], offset)
+            return
+    pytest.fail(f"word {word} not enumerated")
+
+
+def test_level_blocks_bounded_in_high_dimension():
+    # 256 maps in n = 8: a block's per-cube 2^(n-1) x 2^(n-1) arrays stay within
+    # 16 LEVEL_CHUNK entries, and the sweep still covers every word once
+    ifs = cantor_dust(8)
+    rows = 0
+    for block in ifs_mod.iter_levels(ifs, 2):
+        assert block.e_w.size * 4 ** (ifs.n - 1) <= 16 * ifs_mod.LEVEL_CHUNK
+        rows += block.e_w.size
+    assert rows == word_count(256, 2)
 
 
 def test_budget_guard():

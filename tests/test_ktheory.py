@@ -3,6 +3,7 @@ import pytest
 
 from fractal_dirac import (
     Box,
+    BudgetExceededError,
     ProjectionSpec,
     cantor_dust,
     cantor_set,
@@ -218,3 +219,17 @@ def test_certificates_across_presets():
 
     lifted_line = nonvanish_certificate(preset("lifted_cantor"))
     assert lifted_line is not None and lifted_line.pairing_matches
+
+
+@pytest.mark.parametrize(
+    "name,depth,visited",
+    [("sierpinski_carpet", 7, 9657), ("menger_sponge", 5, 71021), ("cantor_dust2", 9, 2013)],
+)
+def test_pairing_budget_counts_visited_cubes(name, depth, visited):
+    # the quadrant box at the origin cuts through the construction; these are the
+    # cubes the depth-first walk visited, and the level sweep prunes the same ones
+    ifs = preset(name)
+    proj = ProjectionSpec(regions=(closed_box([0.0] * ifs.n, [0.5] * ifs.n),))
+    assert index_pairing(ifs, proj, depth, budget=visited).value == 1
+    with pytest.raises(BudgetExceededError):
+        index_pairing(ifs, proj, depth, budget=visited - 1)

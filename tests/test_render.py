@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -48,3 +50,20 @@ def test_render_is_byte_stable():
     a = render_svg(preset("cantor_dust2"), 2)
     b = render_svg(preset("cantor_dust2"), 2)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "name,depth,digest",
+    [
+        ("carpet", 3, "129da3f8834fdab419332874936fd5e0d32bdf611bcf9e1940ff02587c51c3a2"),
+        ("rotation:0.5", 2, "3c881ba02f080b85ffca28f20ae2784cf29ccb6ffccb5ca3c590d8c337e3bc65"),
+        ("menger_sponge", 2, "e6d5961347d8d9fa91ecf7d8e2452337c1d1c495ee792ddfcd6923216c685e2e"),
+    ],
+)
+def test_render_bytes_are_pinned(name, depth, digest):
+    # digests of the documents drawn in depth-first word order, one cube at a time;
+    # the level sweep places every element at that same slot
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        doc = render_svg(preset(name), depth)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest

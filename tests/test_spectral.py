@@ -14,6 +14,7 @@ from fractal_dirac import (
     commutator_norm_check,
     dixmier_trace_dirac,
     eigenvalue_counting,
+    g_matrix,
     integrate_hausdorff,
     iter_placed,
     non_osc,
@@ -31,6 +32,7 @@ from fractal_dirac import (
     zeta_closed,
     zeta_truncated,
 )
+from fractal_dirac.spectral import _residue_limit
 
 LOG2 = math.log(2.0)
 
@@ -269,6 +271,32 @@ def test_integrate_chaos_game_agrees():
     assert abs(a - b) <= 3.0 / math.sqrt(spec.sample_count)
 
 
+def test_integrate_deterministic_values_are_pinned():
+    # last-level centres summed in lexicographic word order, as the depth-first
+    # walk met them, so the values are the same floats, not merely close ones
+    spec = QuadratureSpec
+    got = integrate_hausdorff(
+        preset("menger_sponge"), lambda x: 1.3 * x[0] + 0.7 * x[1] * x[2], spec(depth=3)
+    )
+    assert got == 0.8250000000003146
+    got = integrate_hausdorff(cantor_set(), lambda x: 1.1 * x[0] + 0.4, spec(depth=10))
+    assert got == 0.9500000000015539
+
+
+@pytest.mark.parametrize(
+    "name,depth,samples,seed,value",
+    [
+        ("menger_sponge", 3, 70001, 7, 1.3031231828963288),
+        ("cantor_dust2", 10, 20000, 12345, 1.300159522091822),
+    ],
+)
+def test_integrate_chaos_game_values_are_pinned(name, depth, samples, seed, value):
+    # the chunked inverse-CDF draws are the draws of one
+    # Generator.choice(p=...) call over all samples, so the mean is unchanged
+    spec = QuadratureSpec(depth=depth, mode="chaos_game", sample_count=samples, seed=seed)
+    assert integrate_hausdorff(preset(name), lambda x: 0.9 * x[0] + 1.7 * x[-1], spec) == value
+
+
 def test_integrate_requires_osc_flag():
     spec = QuadratureSpec(depth=4)
     with pytest.raises(ValueError):
@@ -283,6 +311,33 @@ def test_weighted_functional_constant_reduces_to_dixmier():
     dim = similarity_dimension(cs)
     report = weighted_functional(cs, lambda p: 1.0, dim, 12)
     np.testing.assert_allclose(report.value, 2.0 / LOG2, rtol=1e-5)
+
+
+def _weighted_per_cube(ifs, f, depth):
+    """Per-word loop over iter_placed: the reference for the per-level sums."""
+    p = similarity_dimension(ifs)
+
+    def trace_at(zs):
+        totals = []
+        for z in zs:
+            levels = [0.0] * (depth + 1)
+            for cube in iter_placed(ifs, depth):
+                tau = math.fsum(float(f(v)) for v in cube.vertices)
+                levels[len(cube.word)] += cube.e_w ** (z * p) * tau
+            c = float(np.sum(ifs.ratios ** (z * p)))
+            totals.append(math.fsum(levels) + levels[depth] * c / (1.0 - c))
+        return totals
+
+    return _residue_limit(trace_at)[2]
+
+
+@pytest.mark.parametrize("name,depth", [("cantor_dust2", 5), ("rotation:0.7", 4), ("non_osc", 3)])
+def test_weighted_functional_matches_per_cube_loop(name, depth):
+    ifs = preset(name)
+    f = lambda x: 1.0 + 0.5 * x[0] * x[-1]
+    got = weighted_functional(ifs, f, similarity_dimension(ifs), depth).value
+    # the sums run in another order, so only the last digits may differ
+    assert got == pytest.approx(_weighted_per_cube(ifs, f, depth), rel=1e-12)
 
 
 def test_weighted_functional_requires_critical_exponent():
@@ -335,6 +390,41 @@ def test_norm_check_constant_function():
     report = commutator_norm_check(cantor_set(), lambda p: 2.0, 4)
     assert report.bound_holds
     assert report.max_weak_ratio == 0.0
+
+
+def _norm_ratios_per_cube(ifs, f, depth):
+    """One word at a time over iter_placed: the reference for the batched check."""
+    g = g_matrix(ifs.n)
+    weak, sharp = 0.0, 0.0
+    for cube in iter_placed(ifs, depth):
+        values = np.array([float(f(v)) for v in cube.vertices])
+        edge_diffs = (values[0::2][None, :] - values[1::2][:, None]) * g
+        bound = np.max(np.abs(edge_diffs))
+        norm = float(np.linalg.norm(edge_diffs / math.sqrt(ifs.n), 2))
+        if bound > 0.0:
+            weak = max(weak, norm / (math.sqrt(ifs.n) * bound))
+            sharp = max(sharp, norm / bound)
+    return weak, sharp
+
+
+@pytest.mark.parametrize(
+    "name,depth", [("sierpinski_carpet", 3), ("rotation:0.7", 4), ("menger_sponge", 2)]
+)
+def test_norm_check_matches_per_cube_loop(name, depth):
+    ifs = preset(name)
+    f = lambda x: math.sin(2.0 * x[0]) + x[-1] ** 2
+    report = commutator_norm_check(ifs, f, depth)
+    # the same arithmetic on every block; the batched norm may differ in the last bit
+    got = [report.max_weak_ratio, report.max_sharp_ratio]
+    np.testing.assert_array_max_ulp(got, _norm_ratios_per_cube(ifs, f, depth), maxulp=1)
+
+
+def test_norm_check_report_types():
+    report = commutator_norm_check(preset("sierpinski_carpet"), lambda p: p[0] * p[1], 2)
+    assert type(report.blocks) is int
+    assert type(report.max_weak_ratio) is float
+    assert type(report.max_sharp_ratio) is float
+    assert type(report.bound_holds) is bool
 
 
 def test_norm_check_coordinate_function():
