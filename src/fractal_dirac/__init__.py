@@ -30,7 +30,6 @@ from .ifs import (
     Similitude,
     compose,
     default_budget,
-    enumerate_words,
     iter_placed,
     load_ifs,
     save_ifs,

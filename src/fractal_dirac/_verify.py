@@ -13,6 +13,11 @@ import numpy as np
 from . import calculus, cube, ktheory, presets, spectral
 from . import ifs as ifs_mod
 
+TWO_PATH_TRIALS = 20  # random complex vertex functions per dimension
+TWO_PATH_SEED = 7
+TRACE_DEPTH = 8  # truncation depth of the trace tail-bound check
+ROTATION_DEPTH = 3  # word depth of the rotated volume-block check
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -61,15 +66,15 @@ def check_sign_pattern(max_n=8):
     return _result("edge_sign_pattern", float(worst), 0.0, f"n<={max_n}, exact")
 
 
-def check_two_path(max_n=8, trials=20, seed=7):
-    rng = np.random.default_rng(seed)
+def check_two_path(max_n=8):
+    rng = np.random.default_rng(TWO_PATH_SEED)
     worst = 0.0
     for n in range(1, max_n + 1):
-        for _ in range(trials):
+        for _ in range(TWO_PATH_TRIALS):
             f = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
             d = calculus.commutator_direct(n, f) - calculus.commutator_hadamard(n, f)
             worst = max(worst, float(np.max(np.abs(d))))
-    return _result("two_path_commutator", worst, 1e-12, f"n<={max_n}, {trials} draws each")
+    return _result("two_path_commutator", worst, 1e-12, f"n<={max_n}, {TWO_PATH_TRIALS} draws each")
 
 
 def check_clifford(max_n=8):
@@ -89,7 +94,7 @@ def check_volume_element(max_n=6):
     return _result("volume_element", worst, 1e-11, f"n<={max_n}, e in {{1, 1/3, 3}}")
 
 
-def check_trace_convergence(depth=8):
+def check_trace_convergence():
     # the truncation gap equals the tail bound in exact arithmetic, so the
     # comparison carries a rounding allowance relative to the closed value
     worst = 0.0
@@ -97,16 +102,16 @@ def check_trace_convergence(depth=8):
     for name in names:
         ifs = presets.preset(name)
         p = ifs_mod.similarity_dimension(ifs) + 0.2
-        trunc = spectral.zeta_truncated(ifs, p, depth)
+        trunc = spectral.zeta_truncated(ifs, p, TRACE_DEPTH)
         closed = spectral.zeta_closed(ifs, p)
         excess = abs(trunc.value - closed.value) - trunc.error_bound
         worst = max(worst, excess / (1.0 + closed.value))
-    return _result("trace_tail_bound", worst, 1e-12, f"J={depth}, relative bound slack")
+    return _result("trace_tail_bound", worst, 1e-12, f"J={TRACE_DEPTH}, relative bound slack")
 
 
-def check_rotation_blocks(depth=3):
-    dev = spectral.abs_volume_block_deviation(presets.rotation(), depth)
-    return _result("rotation_volume_blocks", dev, 1e-10, f"depth<={depth}")
+def check_rotation_blocks():
+    dev = spectral.abs_volume_block_deviation(presets.rotation(), ROTATION_DEPTH)
+    return _result("rotation_volume_blocks", dev, 1e-10, f"depth<={ROTATION_DEPTH}")
 
 
 def check_pairings():

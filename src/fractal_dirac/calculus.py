@@ -127,13 +127,13 @@ def volume_element_abs(n: int, edge_length: float = 1.0) -> np.ndarray:
     return matrix_abs(prod)
 
 
-def _check_orthogonal(t, tol=ORTHOGONALITY_TOL):
+def _check_orthogonal(t):
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {t.shape}")
     dev = np.max(np.abs(t.T @ t - np.eye(t.shape[0])))
-    if dev > tol:
-        raise ValueError(f"matrix is not orthogonal within {tol:g} (deviation {dev:.3g})")
+    if dev > ORTHOGONALITY_TOL:
+        raise ValueError(f"matrix is not orthogonal within {ORTHOGONALITY_TOL:g} (deviation {dev:.3g})")
     return t
 
 

@@ -36,12 +36,12 @@ def cube_halfspaces(placed):
     return np.array(rows), np.array(rhs)
 
 
-def cubes_intersect(c1, c2, tol: float = INTERSECT_TOL) -> bool:
+def cubes_intersect(c1, c2) -> bool:
     """Closed-hull intersection test via phase-1 feasibility of the joint system."""
     a1, b1 = cube_halfspaces(c1)
     a2, b2 = cube_halfspaces(c2)
     a = np.vstack([a1, a2])
-    b = np.concatenate([b1, b2]) + tol
+    b = np.concatenate([b1, b2]) + INTERSECT_TOL
     res = linprog(
         c=np.zeros(a.shape[1]),
         A_ub=a,
@@ -52,10 +52,10 @@ def cubes_intersect(c1, c2, tol: float = INTERSECT_TOL) -> bool:
     return res.status == 0
 
 
-def point_in_cube(placed, x, tol: float = INTERSECT_TOL) -> bool:
+def point_in_cube(placed, x) -> bool:
     """Membership of a point in the closed placed cube."""
     y = placed.transform.T @ (np.asarray(x, dtype=float) - placed.offset)
-    return bool(np.all(y >= -tol) and np.all(y <= placed.e_w + tol))
+    return bool(np.all(y >= -INTERSECT_TOL) and np.all(y <= placed.e_w + INTERSECT_TOL))
 
 
 class _UnionFind:
@@ -100,7 +100,7 @@ class ComponentReport:
         )
 
 
-def level_one_components(ifs: IfsSystem, tol: float = INTERSECT_TOL) -> ComponentReport:
+def level_one_components(ifs: IfsSystem) -> ComponentReport:
     """Components of the original vertices united with the level-one cube images."""
     n = ifs.n
     cubes = [compose(ifs, (s,)) for s in range(1, ifs.num_maps + 1)]
@@ -110,11 +110,11 @@ def level_one_components(ifs: IfsSystem, tol: float = INTERSECT_TOL) -> Componen
     uf = _UnionFind(num_cubes + num_vertices)
     for i in range(num_cubes):
         for j in range(i + 1, num_cubes):
-            if cubes_intersect(cubes[i], cubes[j], tol):
+            if cubes_intersect(cubes[i], cubes[j]):
                 uf.union(i, j)
     for v in range(num_vertices):
         for i in range(num_cubes):
-            if point_in_cube(cubes[i], corners[v], tol):
+            if point_in_cube(cubes[i], corners[v]):
                 uf.union(i, num_cubes + v)
     groups = {}
     for item in range(num_cubes + num_vertices):

@@ -10,7 +10,6 @@ bounded memory; a configurable budget bounds the number of placed cubes visited.
 import json
 import os
 from dataclasses import dataclass
-from itertools import product as _iter_product
 
 import numpy as np
 
@@ -19,11 +18,10 @@ from .cube import vertex_bits
 from .errors import BudgetExceededError
 
 CONTAINMENT_TOL = 1e-9
+DIMENSION_TOL = 1e-12  # bracket width at which the dimension bisection stops
 DEFAULT_BUDGET = 10**7
-LEVEL_CHUNK = 1 << 14  # most placed cubes in one LevelBlock, for n <= 3
+LEVEL_CHUNK = 1 << 14  # most rows in one block of placed cubes, for n <= 3
 BUDGET_ENV_VAR = "FRACTAL_DIRAC_BUDGET"
-
-Word = tuple  # sequence of 1-based symbols; the empty tuple is the identity
 
 
 def default_budget() -> int:
@@ -98,57 +96,43 @@ class IfsSystem:
 
 @dataclass(frozen=True)
 class PlacedCube:
-    """An n-cube of edge e_w placed by x -> e_w * transform @ x + offset.
+    """Placed n-cubes x -> e_w * transform @ x + offset of words of one length.
 
-    Enumeration builds it as the image of the unit cube under a composed word
-    of similitudes, whose orthogonal parts are checked once on the maps;
-    placed_coordinate_form checks a hand-built cube's transform.
-    """
-
-    word: Word
-    e_w: float
-    transform: np.ndarray
-    offset: np.ndarray
-    n: int
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """Placed vertex coordinates, cube numbering preserved."""
-        return self.offset + self.e_w * (vertex_bits(self.n) @ self.transform.T)
-
-
-@dataclass(frozen=True)
-class LevelBlock:
-    """Placed cubes of consecutive words of one length, one row per word.
-
-    Row i is the cube x -> e_w[i] * transform[i] @ x + offset[i] of the word
-    words[i] (symbols 1..N).
+    A block from iter_levels has a leading row axis, row i the cube of the word
+    words[i] (symbols 1..N, in the smallest unsigned type that holds N); a single
+    cube (compose, iter_placed, rows(i)) has none.  The word's maps had their
+    orthogonal parts checked once; placed_coordinate_form checks a hand-built cube.
     """
 
     level: int
-    words: np.ndarray  # (k, level) symbols, in the smallest unsigned type that holds N
-    e_w: np.ndarray  # (k,)
-    transform: np.ndarray  # (k, n, n)
-    offset: np.ndarray  # (k, n)
+    words: np.ndarray
+    e_w: np.ndarray
+    transform: np.ndarray
+    offset: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.offset.shape[-1]
 
     @property
     def vertices(self) -> np.ndarray:
-        """Placed vertex coordinates, shape (k, 2^n, n), cube numbering preserved."""
-        corners = vertex_bits(self.offset.shape[1]) @ self.transform.transpose(0, 2, 1)
-        corners *= self.e_w[:, None, None]
-        corners += self.offset[:, None, :]
+        """Placed vertex coordinates, shape (..., 2^n, n), cube numbering preserved."""
+        corners = vertex_bits(self.n) @ np.swapaxes(self.transform, -1, -2)
+        corners *= np.asarray(self.e_w)[..., None, None]
+        corners += self.offset[..., None, :]
         return corners
 
-    def rows(self, index) -> "LevelBlock":
-        fields = (self.words, self.e_w, self.transform, self.offset)
-        return LevelBlock(self.level, *(x[index] for x in fields))
+    def rows(self, index) -> "PlacedCube":
+        """One cube for an integer index, a block for a slice or a mask."""
+        return PlacedCube(self.level, self.words[index], self.e_w[index],
+                          self.transform[index], self.offset[index])
 
     def centers(self) -> np.ndarray:
-        half = np.full(self.offset.shape[1], 0.5)
-        return self.offset + self.e_w[:, None] * (self.transform @ half)
+        half = np.full(self.n, 0.5)
+        return self.offset + np.asarray(self.e_w)[..., None] * (self.transform @ half)
 
 
-def _children(ifs: IfsSystem, block: LevelBlock) -> LevelBlock:
+def _children(ifs: IfsSystem, block: PlacedCube) -> PlacedCube:
     """Child step: every map appended (innermost) to every row, symbol fastest."""
     # composite g, appended map f: (g o f)(x) = e_g T_g (r T x + b) + b_g
     mats = np.stack([m.matrix for m in ifs.maps])
@@ -157,13 +141,13 @@ def _children(ifs: IfsSystem, block: LevelBlock) -> LevelBlock:
     symbols = np.tile(np.arange(1, big_n + 1, dtype=block.words.dtype), e.size)
     words = np.column_stack([np.repeat(block.words, big_n, axis=0), symbols])
     offset = e[:, None, None] * np.matmul(t, trans)[..., 0] + block.offset[:, None]
-    return LevelBlock(block.level + 1, words, np.multiply.outer(e, ifs.ratios).reshape(-1),
+    return PlacedCube(block.level + 1, words, np.multiply.outer(e, ifs.ratios).reshape(-1),
                       np.matmul(t, mats).reshape(-1, n, n), offset.reshape(-1, n))
 
 
-def _root(ifs: IfsSystem) -> LevelBlock:
+def _root(ifs: IfsSystem) -> PlacedCube:
     n, symbol = ifs.n, np.min_scalar_type(ifs.num_maps)
-    return LevelBlock(0, np.zeros((1, 0), symbol), np.ones(1), np.eye(n)[None], np.zeros((1, n)))
+    return PlacedCube(0, np.zeros((1, 0), symbol), np.ones(1), np.eye(n)[None], np.zeros((1, n)))
 
 
 def compose(ifs: IfsSystem, word) -> PlacedCube:
@@ -173,8 +157,7 @@ def compose(ifs: IfsSystem, word) -> PlacedCube:
         if not 1 <= s <= ifs.num_maps:
             raise ValueError(f"symbol {s} out of range 1..{ifs.num_maps}")
         cube = _children(ifs, cube).rows(slice(s - 1, s))
-    return PlacedCube(word=tuple(word), e_w=float(cube.e_w[0]), transform=cube.transform[0],
-                      offset=cube.offset[0], n=ifs.n)
+    return cube.rows(0)
 
 
 def word_count(num_symbols: int, depth: int) -> int:
@@ -194,17 +177,7 @@ def _check_budget(ifs, depth, budget):
         )
 
 
-def enumerate_words(ifs: IfsSystem, depth: int, budget: int | None = None):
-    """Yield all words of length 0..depth, shorter first, lexicographic within a length."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    _check_budget(ifs, depth, budget)
-    symbols = range(1, ifs.num_maps + 1)
-    for j in range(depth + 1):
-        yield from _iter_product(symbols, repeat=j)
-
-
-def _sweep(ifs: IfsSystem, block: LevelBlock, depth: int):
+def _sweep(ifs: IfsSystem, block: PlacedCube, depth: int):
     """Yield block, then its descendants to depth, as iter_levels describes."""
     keep = yield block
     if block.level == depth:
@@ -219,7 +192,7 @@ def _sweep(ifs: IfsSystem, block: LevelBlock, depth: int):
 
 
 def iter_levels(ifs: IfsSystem, depth: int, budget: int | None = None):
-    """Stream the placed cubes of all words of length 0..depth as LevelBlocks.
+    """Stream the placed cubes of all words of length 0..depth as PlacedCube blocks.
 
     Every word appears once, after its prefix, and the words of each length
     appear in lexicographic order.  A block holds at most LEVEL_CHUNK rows, a
@@ -235,15 +208,14 @@ def iter_levels(ifs: IfsSystem, depth: int, budget: int | None = None):
 
 
 def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
-    """Stream one PlacedCube per word of length 0..depth, in iter_levels order:
+    """Stream the rows of iter_levels one cube at a time, in its order:
     each word once, after its prefix, the words of each length lexicographic."""
     for block in iter_levels(ifs, depth, budget=budget):
-        rows = zip(block.words.tolist(), block.e_w.tolist(), block.transform, block.offset)
-        for word, e, t, b in rows:
-            yield PlacedCube(word=tuple(word), e_w=e, transform=t, offset=b, n=ifs.n)
+        for i in range(block.e_w.size):
+            yield block.rows(i)
 
 
-def similarity_dimension(ifs: IfsSystem, tol: float = 1e-12) -> float:
+def similarity_dimension(ifs: IfsSystem) -> float:
     """Unique root of sum(ratio^p) = 1, found by bisection with doubling bracket."""
     ratios = ifs.ratios
 
@@ -258,7 +230,7 @@ def similarity_dimension(ifs: IfsSystem, tol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("failed to bracket the similarity dimension")
-    while hi - lo > tol:
+    while hi - lo > DIMENSION_TOL:
         mid = 0.5 * (lo + hi)
         if residual(mid) > 0.0:
             lo = mid
@@ -267,12 +239,12 @@ def similarity_dimension(ifs: IfsSystem, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def vertex_closure_check(ifs: IfsSystem, tol: float = CONTAINMENT_TOL) -> bool:
+def vertex_closure_check(ifs: IfsSystem) -> bool:
     """True iff every unit-cube vertex is the image of a vertex under some map."""
     corners = vertex_bits(ifs.n).astype(float)
     images = np.vstack([m.apply(corners) for m in ifs.maps])
     for v in corners:
-        if np.min(np.max(np.abs(images - v), axis=1)) > tol:
+        if np.min(np.max(np.abs(images - v), axis=1)) > CONTAINMENT_TOL:
             return False
     return True
 
@@ -292,27 +264,24 @@ def to_json_dict(ifs: IfsSystem) -> dict:
     }
 
 
-def from_json_dict(doc: dict, osc: bool = False) -> IfsSystem:
+def from_json_dict(doc: dict) -> IfsSystem:
     """Build and validate an IFS from its JSON document form."""
     try:
         n = int(doc["n"])
-        raw_maps = doc["maps"]
         label = str(doc.get("label", "custom"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed IFS document: {exc}") from exc
-    if n < 1:
-        raise ValueError(f"IFS dimension must be >= 1, got {n}")
-    maps = []
-    for entry in raw_maps:
-        matrix = np.asarray(entry["matrix"], dtype=float).reshape(n, n)
-        maps.append(
+        if n < 1:
+            raise ValueError(f"IFS dimension must be >= 1, got {n}")
+        maps = tuple(
             Similitude(
                 ratio=float(entry["ratio"]),
-                matrix=matrix,
+                matrix=np.asarray(entry["matrix"], dtype=float).reshape(n, n),
                 translation=np.asarray(entry["translation"], dtype=float),
             )
+            for entry in doc["maps"]
         )
-    return IfsSystem(n=n, maps=tuple(maps), label=label, osc=osc)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed IFS document: {exc}") from exc
+    return IfsSystem(n=n, maps=maps, label=label)
 
 
 def save_ifs(ifs: IfsSystem, path) -> None:
@@ -321,6 +290,6 @@ def save_ifs(ifs: IfsSystem, path) -> None:
         fh.write("\n")
 
 
-def load_ifs(path, osc: bool = False) -> IfsSystem:
+def load_ifs(path) -> IfsSystem:
     with open(path) as fh:
-        return from_json_dict(json.load(fh), osc=osc)
+        return from_json_dict(json.load(fh))

@@ -22,6 +22,7 @@ from .ifs import IfsSystem, compose, default_budget, iter_levels
 
 MEMBERSHIP_TOL = 1e-12
 STABILITY_WINDOW = 3  # final depths whose increments must all vanish
+CERTIFICATE_DEPTH = 4  # pairing depth of a nonvanishing certificate
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ class Box:
         object.__setattr__(self, "lo_closed", lc)
         object.__setattr__(self, "hi_closed", hc)
 
-    def contains(self, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership of row points, honoring the face flags."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        tol = MEMBERSHIP_TOL
         above = np.where(self.lo_closed, pts >= self.lo - tol, pts > self.lo + tol)
         below = np.where(self.hi_closed, pts <= self.hi + tol, pts < self.hi - tol)
         return np.all(above & below, axis=1)
@@ -141,9 +143,10 @@ class IndexReport:
     per_depth: tuple  # partial sums by depth
 
 
-def _prunable(verts, regions, tol=MEMBERSHIP_TOL):
+def _prunable(verts, regions):
     """Cubes (rows of verts) whose subtrees stay balanced: inside one region's interior
     with a margin, or with a bounding box apart from every region (sound, not sharp)."""
+    tol = MEMBERSHIP_TOL
     lo, hi = verts.min(axis=1), verts.max(axis=1)
     swallowed = np.zeros(len(verts), dtype=bool)
     separated = np.ones(len(verts), dtype=bool)
@@ -214,7 +217,7 @@ class NonvanishCertificate:
 
 
 def nonvanish_certificate(
-    ifs: IfsSystem, depth: int = 4, budget: int | None = None
+    ifs: IfsSystem, budget: int | None = None
 ) -> NonvanishCertificate | None:
     """First level-one component with unequal vertex parity counts, if any.
 
@@ -231,7 +234,7 @@ def nonvanish_certificate(
         return None
     comp = report.components[target]
     proj = component_projection(ifs, report, target)
-    pairing = index_pairing(ifs, proj, depth, budget=budget)
+    pairing = index_pairing(ifs, proj, CERTIFICATE_DEPTH, budget=budget)
     return NonvanishCertificate(
         component_index=target,
         d0=comp.d0,
@@ -272,33 +275,27 @@ def component_projection(ifs: IfsSystem, report, index: int) -> ProjectionSpec:
     return ProjectionSpec(regions=tuple(boxes))
 
 
-def _middle_third_gaps(depth: int):
-    """Removed-interval endpoint pairs of the middle-third construction, levels 1..depth."""
-    kept = [(Fraction(0), Fraction(1))]
-    gaps = []
-    for _ in range(depth):
-        next_kept = []
-        for a, b in kept:
-            third = (b - a) / 3
-            gaps.append((a + third, b - third))
-            next_kept.append((a, a + third))
-            next_kept.append((b - third, b))
-        kept = next_kept
-    return gaps
-
-
 def connes_gap_pairing(k: int, depth: int) -> int:
     """Pairing of the gap-interval module with the closed box [0, 3^-k].
 
     Gap endpoints are exact triadic rationals, so boundary membership is
     decided exactly.  The left endpoint of each gap carries the even grading.
+    A kept interval not straddling 3^-k adds 1 - 1 or 0 - 0 for each gap it
+    and its descendants hold, so it is dropped: the sweep is O(depth).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > depth:
         raise ValueError(f"k={k} exceeds the enumeration depth {depth}")
     cutoff = Fraction(1, 3**k)
+    kept = [(Fraction(0), Fraction(1))]
     total = 0
-    for a, b in _middle_third_gaps(depth):
-        total += int(0 <= a <= cutoff) - int(0 <= b <= cutoff)
+    for _ in range(depth):
+        next_kept = []
+        for a, b in kept:
+            third = (b - a) / 3
+            total += int(a + third <= cutoff) - int(b - third <= cutoff)
+            halves = ((a, a + third), (b - third, b))
+            next_kept += [(lo, hi) for lo, hi in halves if lo < cutoff < hi]
+        kept = next_kept
     return total

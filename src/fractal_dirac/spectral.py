@@ -10,6 +10,7 @@ is exact for systems satisfying the open set condition.
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -31,6 +32,8 @@ PRE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
 BLOCK_TOL = 1e-9  # relative deviation of a volume block from a scalar matrix
 RESIDUE_DELTAS = tuple(10.0**-k for k in (3, 4, 5, 6))  # sample points z = 1 + delta
+SLOPE_BASE = 3.0  # counting-function thresholds SLOPE_BASE^k, k = SLOPE_K_MIN..depth
+SLOPE_K_MIN = 3
 
 QUANTITIES = (
     "zeta_closed",
@@ -106,8 +109,12 @@ def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = No
         raise ValueError("depth must be >= 0")
     dim = similarity_dimension(ifs)
     c = _ratio_power_sum(ifs, p)
-    levels = [c**j for j in range(depth + 1)]
-    value = 2**ifs.n * math.fsum(levels)
+    try:  # for c < 1 every term after the first 0.0 is 0.0
+        value = 2**ifs.n * math.fsum(takewhile(bool, (c**j for j in range(depth + 1))))
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise DivergenceError(f"partial trace sum at p={p} overflows by depth {depth}")
     if budget is None:
         budget = default_budget()
     if word_count(ifs.num_maps, depth) <= budget:
@@ -252,7 +259,7 @@ def quantized_volume_truncated(
         expected = cube.e_w**n / n ** (n / 2.0)
         if dev > BLOCK_TOL * max(1.0, expected):
             raise AssertionError(
-                f"volume block at word {cube.word} is not scalar within {BLOCK_TOL:g}"
+                f"volume block at word {cube.words.tolist()} is not scalar within {BLOCK_TOL:g}"
             )
         total += 2**n * scal**p
     c = _ratio_power_sum(ifs, n * p)
@@ -438,11 +445,11 @@ def _multinomial(total, combo):
     return out
 
 
-def spectral_dimension_slope(ifs: IfsSystem, depth: int = 10, base: float = 3.0, k_min: int = 3):
+def spectral_dimension_slope(ifs: IfsSystem, depth: int = 10):
     """Least-squares slope of log counting function against log threshold."""
-    ks = range(k_min, depth + 1)
-    xs = np.array([k * math.log(base) for k in ks])
-    ys = np.array([math.log(eigenvalue_counting(ifs, depth, base**k)) for k in ks])
+    ks = range(SLOPE_K_MIN, depth + 1)
+    xs = np.array([k * math.log(SLOPE_BASE) for k in ks])
+    ys = np.array([math.log(eigenvalue_counting(ifs, depth, SLOPE_BASE**k)) for k in ks])
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
 

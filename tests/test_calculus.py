@@ -129,13 +129,14 @@ def test_matrix_abs_general(rng):
         np.testing.assert_allclose(m @ m, a.conj().T @ a, atol=1e-10)
 
 
-def _placed(n, e_w, transform, offset):
-    return PlacedCube(word=(), e_w=e_w, transform=transform, offset=offset, n=n)
+def _placed(e_w, transform, offset):
+    """A hand-built cube of the empty word; its dimension is the offset's length."""
+    return PlacedCube(level=0, words=np.zeros(0, int), e_w=e_w, transform=transform, offset=offset)
 
 
 def test_unit_cube_placed_form():
     for n in (1, 2, 3):
-        placement = _placed(n, 1.0, np.eye(n), np.zeros(n))
+        placement = _placed(1.0, np.eye(n), np.zeros(n))
         for alpha in range(1, n + 1):
             np.testing.assert_allclose(
                 placed_coordinate_form(placement, alpha),
@@ -146,7 +147,7 @@ def test_unit_cube_placed_form():
 
 def _rotation_placement(j, theta=np.pi / 4):
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    return _placed(2, (2.0 * np.sqrt(2.0)) ** -j, np.linalg.matrix_power(rot, j), np.zeros(2))
+    return _placed((2.0 * np.sqrt(2.0)) ** -j, np.linalg.matrix_power(rot, j), np.zeros(2))
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
@@ -181,7 +182,7 @@ def test_placed_form_equals_vertex_value_commutator(rng, n):
     # push it through the entrywise commutator formula
     for _ in range(5):
         placement = _placed(
-            n, float(rng.uniform(0.1, 0.9)), random_orthogonal(rng, n), rng.uniform(-0.5, 0.5, size=n)
+            float(rng.uniform(0.1, 0.9)), random_orthogonal(rng, n), rng.uniform(-0.5, 0.5, size=n)
         )
         verts = placement.vertices
         for alpha in range(1, n + 1):
@@ -194,7 +195,7 @@ def test_placed_form_equals_vertex_value_commutator(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_placed_blocks_anticommute(rng, n):
-    placement = _placed(n, 0.37, random_orthogonal(rng, n), np.zeros(n))
+    placement = _placed(0.37, random_orthogonal(rng, n), np.zeros(n))
     blocks = [placed_coordinate_form(placement, a) for a in range(1, n + 1)]
     scale = 2.0 * placement.e_w**2 / n
     for a in range(n):
@@ -208,7 +209,7 @@ def test_placed_blocks_anticommute(rng, n):
 def test_placed_volume_block_is_scalar(rng, n):
     for _ in range(4):
         placement = _placed(
-            n, float(rng.uniform(0.1, 0.9)), random_orthogonal(rng, n), rng.uniform(0.0, 0.1, size=n)
+            float(rng.uniform(0.1, 0.9)), random_orthogonal(rng, n), rng.uniform(0.0, 0.1, size=n)
         )
         prod = np.eye(2**n)
         for alpha in range(1, n + 1):
@@ -257,7 +258,7 @@ def test_identity_unitary_coordinate_cancellation_reason():
 def test_non_unitary_rejected():
     with pytest.raises(ValueError):
         custom_unitary_form(np.array([[1.0, 0.0], [0.0, 2.0]]), np.zeros(4))
-    sheared = _placed(2, 1.0, np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
+    sheared = _placed(1.0, np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         placed_coordinate_form(sheared, 1)
 
@@ -276,6 +277,6 @@ def test_argument_errors():
     with pytest.raises(CapacityError):
         volume_element_abs(11)
     with pytest.raises(ValueError):
-        placed_coordinate_form(_placed(2, 1.0, np.eye(3), np.zeros(2)), 1)
+        placed_coordinate_form(_placed(1.0, np.eye(3), np.zeros(2)), 1)
     with pytest.raises(ValueError):
-        placed_coordinate_form(_placed(2, 0.0, np.eye(2), np.zeros(2)), 1)
+        placed_coordinate_form(_placed(0.0, np.eye(2), np.zeros(2)), 1)

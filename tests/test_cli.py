@@ -57,6 +57,32 @@ def test_analyze_rejects_bad_file(capsys, tmp_path):
     assert json.loads(err)["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "maps": 5}',
+    '{"n": 1, "maps": [1]}',
+    '{"n": 1, "maps": [{"ratio": null, "matrix": [1.0], "translation": [0.0]}]}',
+    '{"n": 1e400, "maps": []}',
+])
+def test_malformed_ifs_file_is_invalid_input(capsys, tmp_path, text):
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "invalid-input"
+    assert doc["error"].startswith("malformed IFS document")
+
+
+def test_overflowing_partial_trace_is_invalid_input(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--preset", "cantor_set", "--depth", "2000", "-p", "0.1"
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
+
+
 def test_budget_exceeded_exit_code(capsys):
     code, out, err = run_cli(
         capsys, "integrate", "--preset", "menger", "--function", "1", "--depth", "9",

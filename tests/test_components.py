@@ -6,7 +6,8 @@ from fractal_dirac.ifs import PlacedCube
 
 
 def _axis_cube(offset, e_w, n=2):
-    return PlacedCube(word=(), e_w=e_w, transform=np.eye(n), offset=np.asarray(offset, float), n=n)
+    return PlacedCube(level=0, words=np.zeros(0, int), e_w=e_w, transform=np.eye(n),
+                      offset=np.asarray(offset, float))
 
 
 def test_halfspaces_describe_cube():

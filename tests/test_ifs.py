@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fractal_dirac import (
     cantor_dust,
     cantor_set,
     compose,
-    enumerate_words,
     iter_placed,
     lifted_carpet,
     load_ifs,
@@ -26,7 +26,7 @@ from fractal_dirac import (
 )
 from fractal_dirac import ifs as ifs_mod
 from fractal_dirac.cube import vertex_bits
-from fractal_dirac.ifs import word_count
+from fractal_dirac.ifs import PlacedCube, iter_levels, word_count
 from fractal_dirac.presets import carpet_index_set
 
 
@@ -68,28 +68,36 @@ def test_compose_is_monoid_action(rng):
         )
 
 
+def _word(cube):
+    return tuple(cube.words.tolist())
+
+
 def test_word_enumeration_counts():
-    assert len(list(enumerate_words(cantor_set(), 3))) == 15
-    assert len(list(enumerate_words(sierpinski_carpet(), 2))) == 73
-    assert len(list(enumerate_words(non_osc(), 0))) == 1
+    assert sum(block.e_w.size for block in iter_levels(cantor_set(), 3)) == 15
+    assert sum(block.e_w.size for block in iter_levels(sierpinski_carpet(), 2)) == 73
+    assert sum(1 for _ in iter_placed(non_osc(), 0)) == 1
 
 
 def test_word_enumeration_order():
-    words = list(enumerate_words(cantor_set(), 2))
+    words = [_word(cube) for cube in iter_placed(cantor_set(), 2)]
     assert words == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_iter_placed_matches_enumeration():
     ifs = cantor_dust(2)
-    placed_words = sorted(c.word for c in iter_placed(ifs, 3))
-    assert placed_words == sorted(enumerate_words(ifs, 3))
+    placed_words = sorted(_word(c) for c in iter_placed(ifs, 3))
+    assert placed_words == sorted(w for j in range(4) for w in product(range(1, 5), repeat=j))
     # the streamed cubes and compose share one child step, so they agree exactly
     rot = rotation(0.7)
     for cube in iter_placed(rot, 3):
-        ref = compose(rot, cube.word)
+        ref = compose(rot, _word(cube))
+        assert isinstance(cube, PlacedCube) and isinstance(ref, PlacedCube)
+        assert cube.n == ref.n == 2 and cube.level == ref.level == len(_word(cube))
+        assert np.array_equal(cube.words, ref.words)
         assert cube.e_w == ref.e_w
         assert np.array_equal(cube.transform, ref.transform)
         assert np.array_equal(cube.offset, ref.offset)
+        assert np.array_equal(cube.vertices, ref.vertices)
 
 
 @pytest.mark.parametrize("name", ["rotation:0.7", "non_osc"])
@@ -100,6 +108,7 @@ def test_level_blocks_order_contract(monkeypatch, name):
     seen = set()
     by_length = {}
     for block in ifs_mod.iter_levels(ifs, 4):
+        assert isinstance(block, PlacedCube) and block.n == ifs.n
         assert 1 <= block.e_w.size <= 5
         assert block.words.shape == (block.e_w.size, block.level)
         for i, word in enumerate(map(tuple, block.words.tolist())):
@@ -113,6 +122,7 @@ def test_level_blocks_order_contract(monkeypatch, name):
             assert np.array_equal(block.vertices[i], ref.vertices)
             center = ref.offset + ref.e_w * (ref.transform @ np.full(ifs.n, 0.5))
             assert np.array_equal(block.centers()[i], center)
+            assert np.array_equal(ref.centers(), center)
     assert len(seen) == word_count(ifs.num_maps, 4)
     for words in by_length.values():
         assert words == sorted(words)
@@ -159,11 +169,13 @@ def test_level_blocks_bounded_in_high_dimension():
 def test_budget_guard():
     assert word_count(20, 9) > 10**7
     with pytest.raises(BudgetExceededError):
-        list(enumerate_words(menger_sponge(), 9))
+        iter_levels(menger_sponge(), 9)
+    with pytest.raises(BudgetExceededError):
+        list(iter_placed(menger_sponge(), 9))
     with pytest.raises(BudgetExceededError):
         list(iter_placed(menger_sponge(), 4, budget=100))
     with pytest.raises(ValueError):
-        list(enumerate_words(cantor_set(), -1))
+        list(iter_placed(cantor_set(), -1))
 
 
 def test_budget_env_override(monkeypatch):
@@ -172,7 +184,7 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("FRACTAL_DIRAC_BUDGET", "123")
     assert default_budget() == 123
     with pytest.raises(BudgetExceededError):
-        list(enumerate_words(cantor_set(), 8))
+        list(iter_placed(cantor_set(), 8))
     monkeypatch.setenv("FRACTAL_DIRAC_BUDGET", "junk")
     with pytest.raises(ValueError):
         default_budget()
@@ -181,7 +193,7 @@ def test_budget_env_override(monkeypatch):
 def test_placed_cube_invariants(rng):
     ifs = non_osc()
     for cube in iter_placed(ifs, 3):
-        recomputed = float(np.prod([ifs.maps[s - 1].ratio for s in cube.word]))
+        recomputed = float(np.prod([ifs.maps[s - 1].ratio for s in _word(cube)]))
         assert abs(cube.e_w - recomputed) <= 1e-12 * max(recomputed, 1e-300)
         expected = cube.offset + cube.e_w * (vertex_bits(2) @ cube.transform.T)
         np.testing.assert_allclose(cube.vertices, expected, atol=1e-14)

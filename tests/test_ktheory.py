@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,37 @@ def test_interval_pairings(k):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_gap_module_pairing_is_one(k):
     assert connes_gap_pairing(k, k + 3) == 1
+
+
+def _gap_pairing_unpruned(k, depth):
+    """Every removed interval of levels 1..depth: the reference for the pruned sweep."""
+    cutoff = Fraction(1, 3**k)
+    kept, total = [(Fraction(0), Fraction(1))], 0
+    for _ in range(depth):
+        next_kept = []
+        for a, b in kept:
+            third = (b - a) / 3
+            total += int(0 <= a + third <= cutoff) - int(0 <= b - third <= cutoff)
+            next_kept += [(a, a + third), (b - third, b)]
+        kept = next_kept
+    return total
+
+
+def test_gap_module_matches_unpruned_sweep():
+    for depth in range(1, 13):
+        for k in range(1, depth + 1):
+            assert connes_gap_pairing(k, depth) == _gap_pairing_unpruned(k, depth)
+
+
+def test_gap_module_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        value = connes_gap_pairing(3, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak < 2**20  # the unpruned sweep holds 2^14 kept intervals, about 9 MB
 
 
 def test_gap_module_depth_precondition():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ def test_zeta_truncated_enumeration_modes(monkeypatch):
     # below the budget the enumerated cross-check runs
     zeta_truncated(sponge, 3.5, 3)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("depth", [1215, 2000])
+def test_zeta_truncated_overflow_is_divergence(depth):
+    # c = 2 * 3^-0.1 > 1: at depth 1215 the level sum is finite but 2 times it
+    # is not; from depth 1216 on the terms themselves overflow a float
+    with pytest.raises(DivergenceError):
+        zeta_truncated(cantor_set(), 0.1, depth)
+
+
+def test_zeta_truncated_power_form_streams_its_terms():
+    cs = cantor_set()
+    c = float(np.sum(cs.ratios**1.0))
+    # (2/3)^j underflows to 0.0 near j = 1840; the terms after it add nothing
+    expected = 2.0 * math.fsum([c**j for j in range(5001)])
+    assert zeta_truncated(cs, 1.0, 5000).value == expected
+    tracemalloc.start()
+    try:
+        deep = zeta_truncated(cs, 1.0, 10**6).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deep == expected
+    assert peak < 4 * 2**20  # a list of 10^6 level terms alone takes 32 MB
 
 
 def test_zeta_truncated_below_critical_has_no_bound():
@@ -323,7 +348,7 @@ def _weighted_per_cube(ifs, f, depth):
             levels = [0.0] * (depth + 1)
             for cube in iter_placed(ifs, depth):
                 tau = math.fsum(float(f(v)) for v in cube.vertices)
-                levels[len(cube.word)] += cube.e_w ** (z * p) * tau
+                levels[cube.level] += cube.e_w ** (z * p) * tau
             c = float(np.sum(ifs.ratios ** (z * p)))
             totals.append(math.fsum(levels) + levels[depth] * c / (1.0 - c))
         return totals
