@@ -89,6 +89,25 @@ _ALLOWED_NODES = (
 )
 
 
+POW_MAX_BITS = 4096  # largest integer power an expression may build
+
+
+def _power(base, exponent):
+    """base ** exponent, refusing an integer power of more than POW_MAX_BITS bits."""
+    if (isinstance(base, int) and isinstance(exponent, int) and abs(base) > 1
+            and exponent >= POW_MAX_BITS / math.log2(abs(base))):
+        raise OverflowError(f"an integer power would exceed {POW_MAX_BITS} bits")
+    return base**exponent
+
+
+class _PowerCalls(ast.NodeTransformer):
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
+
+
 def function_from_expression(expr: str, n: int):
     """Compile a small arithmetic expression in x1..xn into a point function."""
     try:
@@ -106,10 +125,10 @@ def function_from_expression(expr: str, n: int):
                 raise ValueError("only sin/cos/tan/exp/log/sqrt/abs calls are allowed")
         if isinstance(node, ast.Name) and node.id not in coords | set(_ALLOWED_CALLS):
             raise ValueError(f"unknown name {node.id!r}; coordinates are x1..x{n}")
-    code = compile(tree, "<function>", "eval")
+    code = compile(ast.fix_missing_locations(_PowerCalls().visit(tree)), "<function>", "eval")
 
     def f(point):
-        env = dict(_ALLOWED_CALLS)
+        env = dict(_ALLOWED_CALLS, _power=_power)
         for i in range(n):
             env[f"x{i + 1}"] = float(point[i])
         try:
@@ -123,15 +142,9 @@ def function_from_expression(expr: str, n: int):
 def _emit(doc, config: RunConfig) -> None:
     if config.fmt == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    elif config.fmt == "csv":
-        lines = ["key,value"]
-        for key, value in sorted(_flatten(doc).items()):
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
     else:
-        lines = []
-        for key, value in sorted(_flatten(doc).items()):
-            lines.append(f"{key} = {value}")
+        sep, lines = (",", ["key,value"]) if config.fmt == "csv" else (" = ", [])
+        lines += [f"{key}{sep}{value}" for key, value in sorted(_flatten(doc).items())]
         text = "\n".join(lines) + "\n"
     if config.out:
         with open(config.out, "w") as fh:

@@ -1,77 +1,59 @@
 """Connected components of the cube vertices together with the level-one images.
 
-Two placed cubes are connected when their closed convex hulls intersect,
-decided by feasibility of the combined half-space systems (a phase-1 linear
-program over 4n inequalities).  Touching boundaries count as connected.  An
-original cube vertex joins a cube when it is contained in it; vertices in no
-cube form singleton components.  Vertex parity counts are taken over the
-original cube vertices only.
+Two placed cubes are connected when their closed convex hulls intersect, that
+is when 0 lies in their Minkowski difference: a zonotope spanned by the edges
+of both cubes, which a separating-axis test over its facet normals decides
+exactly (Ziegler, Lectures on Polytopes, Lecture 7).  Touching boundaries
+count as connected.  An original cube vertex joins a cube when it is contained
+in it; vertices in no cube form singleton components.  Vertex parity counts
+are taken over the original cube vertices only.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cube import vertex_bits
+from .errors import CapacityError
 from .ifs import IfsSystem, compose
 
 INTERSECT_TOL = 1e-9
-
-
-def cube_halfspaces(placed):
-    """Inequalities A x <= b cutting out a placed cube (2n rows)."""
-    t = placed.transform
-    b0 = placed.offset
-    n = placed.n
-    rows = []
-    rhs = []
-    for i in range(n):
-        axis = t[:, i]  # i-th column: direction of the cube's i-th edge
-        level = float(axis @ b0)
-        rows.append(-axis)
-        rhs.append(-level)
-        rows.append(axis)
-        rhs.append(level + placed.e_w)
-    return np.array(rows), np.array(rhs)
+PARALLEL_TOL = 1e-12  # edges this close up to sign give one direction for the normals
+MAX_NORMALS = math.comb(16, 7)  # every candidate normal of a fully rotated pair at n = 8
 
 
 def cubes_intersect(c1, c2) -> bool:
-    """Closed-hull intersection test via phase-1 feasibility of the joint system."""
-    a1, b1 = cube_halfspaces(c1)
-    a2, b2 = cube_halfspaces(c2)
-    a = np.vstack([a1, a2])
-    b = np.concatenate([b1, b2]) + INTERSECT_TOL
-    res = linprog(
-        c=np.zeros(a.shape[1]),
-        A_ub=a,
-        b_ub=b,
-        bounds=[(None, None)] * a.shape[1],
-        method="highs",
-    )
-    return res.status == 0
+    """Closed-hull intersection test: no facet normal of c1 - c2 separates 0 from it.
+
+    The difference has centre z0 = centre(c1) - centre(c2) and half-generators
+    (e_w / 2) t over the edge directions t of both cubes.  Its facet normals are
+    the normals u of n - 1 distinct directions, and 0 lies in it iff
+    |u . z0| <= sum (e_w / 2 + INTERSECT_TOL) |u . t| for every u: each slab of
+    both cubes widened by INTERSECT_TOL.  Axis-aligned cubes share their n
+    directions, so the test is n interval overlaps.
+    """
+    n = c1.n
+    edges = np.vstack([c1.transform.T, c2.transform.T])
+    half = np.repeat([c1.e_w / 2 + INTERSECT_TOL, c2.e_w / 2 + INTERSECT_TOL], n)
+    gap = np.minimum(abs(edges[:, None] - edges).max(2), abs(edges[:, None] + edges).max(2))
+    dirs = edges[~np.any(np.triu(gap <= PARALLEL_TOL, 1), axis=0)]
+    count = math.comb(len(dirs), n - 1)
+    if count > MAX_NORMALS:
+        raise CapacityError(f"{count} separating-axis normals of two n={n} cubes exceed "
+                            f"the {MAX_NORMALS} of a fully rotated pair at n=8")
+    subsets = np.array(list(itertools.combinations(range(len(dirs)), n - 1)), dtype=np.intp)
+    # last column of a complete QR of each n x (n-1) edge block: orthogonal to all its columns
+    normals = np.linalg.qr(np.swapaxes(dirs[subsets], 1, 2), mode="complete")[0][:, :, -1]
+    reach = np.abs(normals @ edges.T) @ half
+    return bool(np.all(np.abs(normals @ (c1.centers() - c2.centers())) <= reach))
 
 
 def point_in_cube(placed, x) -> bool:
     """Membership of a point in the closed placed cube."""
     y = placed.transform.T @ (np.asarray(x, dtype=float) - placed.offset)
     return bool(np.all(y >= -INTERSECT_TOL) and np.all(y <= placed.e_w + INTERSECT_TOL))
-
-
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 @dataclass(frozen=True)
@@ -102,29 +84,30 @@ class ComponentReport:
 
 def level_one_components(ifs: IfsSystem) -> ComponentReport:
     """Components of the original vertices united with the level-one cube images."""
-    n = ifs.n
     cubes = [compose(ifs, (s,)) for s in range(1, ifs.num_maps + 1)]
-    corners = vertex_bits(n).astype(float)
-    num_cubes = len(cubes)
-    num_vertices = corners.shape[0]
-    uf = _UnionFind(num_cubes + num_vertices)
-    for i in range(num_cubes):
-        for j in range(i + 1, num_cubes):
-            if cubes_intersect(cubes[i], cubes[j]):
-                uf.union(i, j)
-    for v in range(num_vertices):
-        for i in range(num_cubes):
-            if point_in_cube(cubes[i], corners[v]):
-                uf.union(i, num_cubes + v)
+    corners = vertex_bits(ifs.n).astype(float)
+    m = len(cubes)
+    parent = list(range(m + len(corners)))  # cubes, then vertices; a root is its least item
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    links = [(i, j) for i in range(m) for j in range(i + 1, m)
+             if cubes_intersect(cubes[i], cubes[j])]
+    links += [(i, m + v) for v in range(len(corners)) for i in range(m)
+              if point_in_cube(cubes[i], corners[v])]
+    for i, j in links:
+        low, high = sorted((root(i), root(j)))
+        parent[high] = low
     groups = {}
-    for item in range(num_cubes + num_vertices):
-        groups.setdefault(uf.find(item), []).append(item)
+    for item in range(len(parent)):
+        groups.setdefault(root(item), []).append(item)
     components = []
-    for root in sorted(groups):
-        members = groups[root]
-        cube_syms = tuple(i + 1 for i in members if i < num_cubes)
-        verts = tuple(i - num_cubes for i in members if i >= num_cubes)
-        d0 = sum(1 for v in verts if v % 2 == 0)
-        d1 = sum(1 for v in verts if v % 2 == 1)
-        components.append(Component(cubes=cube_syms, vertices=verts, d0=d0, d1=d1))
-    return ComponentReport(n=n, components=tuple(components))
+    for members in groups.values():
+        verts = tuple(i - m for i in members if i >= m)
+        d1 = sum(v % 2 for v in verts)
+        components.append(Component(cubes=tuple(i + 1 for i in members if i < m),
+                                    vertices=verts, d0=len(verts) - d1, d1=d1))
+    return ComponentReport(n=ifs.n, components=tuple(components))

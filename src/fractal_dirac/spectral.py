@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import matrix_abs, placed_coordinate_form
 from .cube import g_matrix
-from .errors import DivergenceError
+from .errors import BudgetExceededError, DivergenceError
 from .ifs import (
     LEVEL_CHUNK,
     IfsSystem,
@@ -299,8 +299,8 @@ def integrate_hausdorff(
     """Integral of f against the self-similar probability measure.
 
     Deterministic mode sums ratio^dim_s weights times f at depth-J cube
-    centers; chaos-game mode averages f over randomly sampled depth-J words
-    drawn with the same per-symbol weights.
+    centers; chaos-game mode averages f over sample_count <= budget random
+    depth-J words drawn with the same per-symbol weights.
     """
     if not ifs.osc and not override_osc:
         raise ValueError(
@@ -324,6 +324,10 @@ def integrate_hausdorff(
         if abs(wsum - 1.0) > WEIGHT_SUM_TOL:
             raise AssertionError(f"depth-{spec.depth} weights sum to {wsum!r}, not 1")
         return total
+    budget = default_budget() if budget is None else budget
+    if spec.sample_count > budget:
+        raise BudgetExceededError(
+            f"drawing {spec.sample_count} sample words exceeds the budget of {budget}")
     # inverse-CDF draws, as Generator.choice(p=...) makes them, LEVEL_CHUNK rows at a time
     rng = np.random.default_rng(spec.seed)
     cdf = np.cumsum(weights / weights.sum())

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fractal_dirac.cli import function_from_expression, main
+from fractal_dirac.cli import POW_MAX_BITS, _power, function_from_expression, main
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +252,43 @@ def test_function_expressions():
         function_from_expression("open('x')", 1)
 
 
+def test_integer_powers_are_bounded():
+    # the bound is read off the operands, so a tower is refused before it is built
+    with pytest.raises(OverflowError, match=f"exceed {POW_MAX_BITS} bits"):
+        _power(10, 10**10)
+    with pytest.raises(ValueError, match=f"exceed {POW_MAX_BITS} bits"):
+        function_from_expression("2**10**10**10", 1)(np.array([0.5]))
+    assert _power(2, POW_MAX_BITS - 1).bit_length() == POW_MAX_BITS
+    f = function_from_expression("2**4095 / 2**4094 + 2**-3 + x1**2", 1)
+    assert f(np.array([3.0])) == 11.125
+
+
+@pytest.mark.parametrize("expr", ["10**10**5", "2**4096 / 2**4095"])
+def test_integer_power_over_the_bound_is_invalid_input(capsys, expr):
+    code, out, err = run_cli(
+        capsys, "integrate", "--preset", "cantor_set", "--function", expr, "--depth", "2"
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "invalid-input"
+    assert f"exceed {POW_MAX_BITS} bits" in doc["error"]
+
+
+@pytest.mark.parametrize("extra", [["--samples", "1000000000000"], ["--samples", "100000000"],
+                                   ["--samples", "5000", "--budget", "1000"]])
+def test_chaos_game_samples_over_budget(capsys, monkeypatch, extra):
+    # checked against the word budget before the sample array is allocated
+    monkeypatch.delenv("FRACTAL_DIRAC_BUDGET", raising=False)
+    code, out, err = run_cli(
+        capsys, "integrate", "--preset", "cantor_dust2", "--depth", "3", "--mode", "chaos_game",
+        *extra,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "budget-exceeded"
+
+
 def test_exponent_validation(capsys):
     for bad in ("abc", "nan", "inf"):
         code, out, err = run_cli(capsys, "analyze", "--preset", "cantor_set", "-p", bad)
@@ -311,6 +348,22 @@ def test_usage_error_process_contract():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert [json.loads(line)["kind"] for line in proc.stderr.splitlines()] == ["invalid-input"]
+
+
+def test_library_runs_without_scipy():
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from fractal_dirac.cli import main",
+        "codes = [main(['analyze', '--preset', 'rotation', '--depth', '3']),",
+        "         main(['analyze', '--preset', 'menger_sponge', '--depth', '2'])]",
+        "sys.exit(0 if codes == [0, 0] else 1)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.count('"command": "analyze"') == 2
 
 
 def test_help_still_prints_usage(capsys):

@@ -1,17 +1,47 @@
 import numpy as np
+import pytest
+from scipy.optimize import linprog
 
-from fractal_dirac import compose, level_one_components, preset
-from fractal_dirac.components import cube_halfspaces, cubes_intersect, point_in_cube
+from conftest import ALL_PRESETS, random_orthogonal
+from fractal_dirac import CapacityError, compose, level_one_components, preset
+from fractal_dirac.components import INTERSECT_TOL, cubes_intersect, point_in_cube
 from fractal_dirac.ifs import PlacedCube
 
 
-def _axis_cube(offset, e_w, n=2):
-    return PlacedCube(level=0, words=np.zeros(0, int), e_w=e_w, transform=np.eye(n),
+def _placed_cube(offset, e_w, n=2, transform=None):
+    transform = np.eye(n) if transform is None else transform
+    return PlacedCube(level=0, words=np.zeros(0, int), e_w=e_w, transform=transform,
                       offset=np.asarray(offset, float))
 
 
+def cube_halfspaces(placed):
+    """Inequalities A x <= b cutting out a placed cube (2n rows)."""
+    rows, rhs = [], []
+    for axis in placed.transform.T:  # direction of each of the cube's edges
+        level = float(axis @ placed.offset)
+        rows += [-axis, axis]
+        rhs += [-level, level + placed.e_w]
+    return np.array(rows), np.array(rhs)
+
+
+def lp_intersect(c1, c2):
+    """Oracle: phase-1 LP over both cubes' half-spaces, each relaxed by INTERSECT_TOL."""
+    a1, b1 = cube_halfspaces(c1)
+    a2, b2 = cube_halfspaces(c2)
+    a = np.vstack([a1, a2])
+    b = np.concatenate([b1, b2]) + INTERSECT_TOL
+    res = linprog(c=np.zeros(a.shape[1]), A_ub=a, b_ub=b,
+                  bounds=[(None, None)] * a.shape[1], method="highs")
+    return res.status == 0
+
+
+def _centred_cube(center, e_w, transform):
+    return _placed_cube(center - transform @ np.full(center.size, e_w / 2), e_w,
+                      center.size, transform)
+
+
 def test_halfspaces_describe_cube():
-    cube = _axis_cube([0.25, 0.5], 0.25)
+    cube = _placed_cube([0.25, 0.5], 0.25)
     a, b = cube_halfspaces(cube)
     inside = np.array([0.3, 0.6])
     outside = np.array([0.6, 0.6])
@@ -19,10 +49,79 @@ def test_halfspaces_describe_cube():
     assert not np.all(a @ outside <= b + 1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_pairs_match_lp_oracle(rng, n):
+    # the second cube's edges: all new, all shared up to sign and order, or all but two shared
+    def plane_rotation():
+        rot = np.eye(n)
+        i, j = rng.choice(n, size=2, replace=False)
+        angle = rng.uniform(0.1, 3.0)
+        c, s = np.cos(angle), np.sin(angle)
+        rot[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+        return rot
+
+    verdicts = []
+    for trial in range(150):
+        t1 = random_orthogonal(rng, n)
+        e1, e2 = rng.uniform(0.2, 1.0, size=2)
+        t2 = (random_orthogonal(rng, n),
+              t1[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n),
+              t1 @ plane_rotation())[trial % 3]
+        c1 = _centred_cube(rng.uniform(-1, 1, size=n), e1, t1)
+        step = rng.standard_normal(n)
+        step *= rng.uniform(0, (e1 + e2) * np.sqrt(n) / 2) / np.linalg.norm(step)
+        c2 = _centred_cube(c1.centers() + step, e2, t2)
+        verdict = cubes_intersect(c1, c2)
+        assert verdict == lp_intersect(c1, c2), trial
+        verdicts.append(verdict)
+    assert 20 < sum(verdicts) < 130
+
+
+def test_level_one_pairs_match_lp_oracle():
+    for name in ALL_PRESETS + ["sc3", "rotation:1.1"]:
+        ifs = preset(name)
+        cubes = [compose(ifs, (s,)) for s in range(1, ifs.num_maps + 1)]
+        for i in range(len(cubes)):
+            for j in range(i + 1, len(cubes)):
+                assert cubes_intersect(cubes[i], cubes[j]) == lp_intersect(cubes[i], cubes[j])
+
+
+# Separations in (INTERSECT_TOL, 1e-7] are left out: there HiGHS's own primal
+# feasibility tolerance (1e-7) decides the oracle's verdict, not the geometry.
+@pytest.mark.parametrize("shared", ["face", "edge", "corner"])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_touching_and_nearly_touching_pairs(rng, shared, rotated):
+    n, e = 3, 1.0 / 3.0
+    t = random_orthogonal(rng, n) if rotated else np.eye(n)
+    shift = t @ {"face": [1.0, 0, 0], "edge": [1.0, 1, 0], "corner": [1.0, 1, 1]}[shared]
+    cube = _placed_cube(np.full(n, 0.2), e, n, t)
+    touching = _placed_cube(cube.offset + e * shift, e, n, t)
+    apart = _placed_cube(cube.offset + (e + 1e-6) * shift, e, n, t)
+    assert cubes_intersect(cube, touching) and lp_intersect(cube, touching)
+    assert not cubes_intersect(cube, apart) and not lp_intersect(cube, apart)
+
+
+def test_high_dimensional_pairs(rng):
+    # a fully rotated pair is decided to n = 8 (11,440 normals) and refused above
+    t = random_orthogonal(rng, 8)
+    c1 = _centred_cube(np.zeros(8), 1.0, np.eye(8))
+    reach = 0.5 + np.abs(t[0]).sum() / 2  # both cubes' half-extents along the first axis
+    for shift, expected in ((0.5, True), (reach + 1e-3, False)):
+        c2 = _centred_cube(shift * np.eye(8)[0], 1.0, t)
+        assert cubes_intersect(c1, c2) is expected is lp_intersect(c1, c2)
+    c1 = _centred_cube(np.zeros(9), 1.0, np.eye(9))
+    c2 = _centred_cube(np.zeros(9), 1.0, random_orthogonal(rng, 9))
+    with pytest.raises(CapacityError, match="43758 separating-axis normals"):
+        cubes_intersect(c1, c2)
+    # axis-aligned cubes share their directions: n normals at any n
+    assert cubes_intersect(_placed_cube(np.zeros(12), 0.5, 12),
+                           _placed_cube(np.full(12, 0.5), 0.5, 12))
+
+
 def test_touching_cubes_connect():
-    left = _axis_cube([0.0, 0.0], 1.0 / 3.0)
-    right = _axis_cube([1.0 / 3.0, 0.0], 1.0 / 3.0)
-    far = _axis_cube([2.0 / 3.0, 0.0], 1.0 / 3.0)
+    left = _placed_cube([0.0, 0.0], 1.0 / 3.0)
+    right = _placed_cube([1.0 / 3.0, 0.0], 1.0 / 3.0)
+    far = _placed_cube([2.0 / 3.0, 0.0], 1.0 / 3.0)
     assert cubes_intersect(left, right)
     assert not cubes_intersect(left, far)
 
