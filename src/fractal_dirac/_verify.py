@@ -1,9 +1,7 @@
 """Self-check suite behind the verify command.
 
 Each check returns its name, pass/fail, the tolerance it enforced, and a
-short detail string.  The fault-injection flag flips one sign in the
-dimension-3 edge matrix before the unitarity check; it exists purely as a
-negative control for the suite itself.
+short detail string.
 """
 
 from dataclasses import dataclass
@@ -34,14 +32,10 @@ def _result(name, observed, tolerance, extra=""):
     return CheckResult(name=name, passed=observed <= tolerance, tolerance=tolerance, detail=detail)
 
 
-def check_unitarity(max_n=8, inject_fault=False):
+def check_unitarity(max_n=8):
     worst = 0.0
     for n in range(1, max_n + 1):
-        g = cube.g_matrix(n).astype(float)
-        if inject_fault and n == 3:
-            g = g.copy()
-            g[0, 0] = -g[0, 0]
-        u = g / np.sqrt(n)
+        u = cube.g_matrix(n).astype(float) / np.sqrt(n)
         worst = max(worst, float(np.max(np.abs(u @ u.T - np.eye(u.shape[0])))))
     return _result("unitarity", worst, 1e-12, f"n<={max_n}")
 
@@ -131,9 +125,9 @@ def check_pairings():
     return _result("index_pairings", float(bad), 0.0, "integer checks")
 
 
-def run_all(max_n=8, inject_fault=False):
+def run_all(max_n=8):
     return [
-        check_unitarity(max_n=max_n, inject_fault=inject_fault),
+        check_unitarity(max_n=max_n),
         check_involution(max_n=max_n),
         check_sign_pattern(max_n=max_n),
         check_two_path(max_n=min(max_n, 8)),

@@ -11,18 +11,17 @@ import ast
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import _verify
 from .components import level_one_components
 from .errors import BudgetExceededError, DivergenceError
 from .ifs import default_budget, load_ifs, similarity_dimension, vertex_closure_check
 from .ktheory import (
+    component_certificate,
     connes_gap_pairing,
     index_pairing,
     interval_projection,
     load_projection,
-    nonvanish_certificate,
 )
 from .presets import preset, preset_names
 from .render import write_svg
@@ -36,30 +35,8 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    preset: str | None
-    file: str | None
-    depth: int
-    exponent: object  # float or the string "auto"
-    fmt: str
-    out: str | None
-    seed: int
-    budget: int
-    samples: int
-
-    def __post_init__(self):
-        if (self.preset is None) == (self.file is None):
-            raise ValueError("exactly one of --preset/--file must be given")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-
-
-def _load_system(config: RunConfig):
-    if config.preset is not None:
-        return preset(config.preset)
-    return load_ifs(config.file)
+def _load_system(args):
+    return preset(args.preset) if args.preset is not None else load_ifs(args.file)
 
 
 _ALLOWED_CALLS = {
@@ -139,15 +116,15 @@ def function_from_expression(expr: str, n: int):
     return f
 
 
-def _emit(doc, config: RunConfig) -> None:
-    if config.fmt == "json":
+def _emit(doc, args) -> None:
+    if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        sep, lines = (",", ["key,value"]) if config.fmt == "csv" else (" = ", [])
+        sep, lines = (",", ["key,value"]) if args.format == "csv" else (" = ", [])
         lines += [f"{key}{sep}{value}" for key, value in sorted(_flatten(doc).items())]
         text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -166,33 +143,25 @@ def _flatten(doc, prefix=""):
     return flat
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return {
-        "command": config.command,
-        "preset": config.preset,
-        "file": config.file,
-        "depth": config.depth,
-        "exponent": config.exponent,
-        "format": config.fmt,
-        "seed": config.seed,
-        "budget": config.budget,
-        "samples": config.samples,
-    }
+def _config_echo(args, *extra) -> dict:
+    """The options that shaped a document: the shared ones plus the command's own extra."""
+    keys = ("command", "preset", "file", "depth", "format", "budget") + extra
+    return {key: getattr(args, key) for key in keys}
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    ifs = _load_system(config)
+def cmd_analyze(args) -> int:
+    ifs = _load_system(args)
     dim = similarity_dimension(ifs)
-    p_zeta = dim + 0.2 if config.exponent == "auto" else float(config.exponent)
+    p_zeta = dim + 0.2 if args.exponent == "auto" else args.exponent
     try:
         closed = zeta_closed(ifs, p_zeta).value
     except DivergenceError:
         closed = None
-    trunc = zeta_truncated(ifs, p_zeta, config.depth, budget=config.budget)
+    trunc = zeta_truncated(ifs, p_zeta, args.depth, budget=args.budget)
     components = level_one_components(ifs)
-    cert = nonvanish_certificate(ifs, budget=config.budget)
+    cert = component_certificate(ifs, components, budget=args.budget)
     doc = {
-        "config": _config_echo(config),
+        "config": _config_echo(args, "exponent"),
         "system": {"label": ifs.label, "n": ifs.n, "num_maps": ifs.num_maps, "osc": ifs.osc},
         "dim_s": dim,
         "vertex_closure": vertex_closure_check(ifs),
@@ -222,73 +191,96 @@ def cmd_analyze(config: RunConfig) -> int:
             "matches": cert.pairing_matches,
         },
     }
-    _emit(doc, config)
+    _emit(doc, args)
     return 0
 
 
-def cmd_render(config: RunConfig, path: str | None) -> int:
-    ifs = _load_system(config)
-    out = path or config.out or f"{ifs.label}_depth{config.depth}.svg"
-    write_svg(ifs, config.depth, out, budget=config.budget)
+def cmd_render(args) -> int:
+    ifs = _load_system(args)
+    out = args.svg or f"{ifs.label}_depth{args.depth}.svg"
+    write_svg(ifs, args.depth, out, budget=args.budget)
     sys.stdout.write(json.dumps({"written": out}, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_verify(max_n: int, inject_fault: bool) -> int:
-    results = _verify.run_all(max_n=max_n, inject_fault=inject_fault)
-    failed = 0
+def cmd_verify(args) -> int:
+    results = _verify.run_all(max_n=args.max_n)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        if not res.passed:
-            failed += 1
         sys.stdout.write(f"{status} {res.name} (tolerance {res.tolerance:g}): {res.detail}\n")
+    failed = sum(not res.passed for res in results)
     sys.stdout.write(f"{len(results) - failed}/{len(results)} checks passed\n")
     return 1 if failed else 0
 
 
-def cmd_pairing(config: RunConfig, pk: int | None, proj_path: str | None, gap_module: bool) -> int:
-    ifs = _load_system(config)
-    if (pk is None) == (proj_path is None):
+def cmd_pairing(args) -> int:
+    ifs = _load_system(args)
+    if (args.pk is None) == (args.proj is None):
         raise ValueError("pairing needs exactly one of --pk or --proj")
-    if pk is not None:
+    if args.pk is not None:
         if ifs.n != 1:
             raise ValueError("--pk projections live on the line; use a 1-dimensional system")
-        proj = interval_projection(pk)
-        depth = config.depth if config.depth > 0 else pk + 3
+        proj = interval_projection(args.pk)
+        depth = args.depth if args.depth > 0 else args.pk + 3
     else:
-        proj = load_projection(proj_path)
-        depth = config.depth
-    report = index_pairing(ifs, proj, depth, budget=config.budget)
+        proj = load_projection(args.proj)
+        depth = args.depth
+    report = index_pairing(ifs, proj, depth, budget=args.budget)
     doc = {
-        "config": _config_echo(config),
+        "config": _config_echo(args),
         "value": report.value,
         "depth_used": report.depth_used,
         "stabilized": report.stabilized,
         "per_depth": list(report.per_depth),
     }
-    if gap_module:
-        if pk is None:
+    if args.gap_module:
+        if args.pk is None:
             raise ValueError("--gap-module requires --pk")
-        doc["gap_module"] = connes_gap_pairing(pk, depth)
-    _emit(doc, config)
+        doc["gap_module"] = connes_gap_pairing(args.pk, depth)
+    _emit(doc, args)
     return 0
 
 
-def cmd_integrate(config: RunConfig, expr: str, mode: str, override_osc: bool) -> int:
-    ifs = _load_system(config)
-    f = function_from_expression(expr, ifs.n)
+def cmd_integrate(args) -> int:
+    ifs = _load_system(args)
+    f = function_from_expression(args.function, ifs.n)
     spec = QuadratureSpec(
-        depth=config.depth, mode=mode, sample_count=config.samples, seed=config.seed
+        depth=args.depth, mode=args.mode, sample_count=args.samples, seed=args.seed
     )
-    value = integrate_hausdorff(ifs, f, spec, override_osc=override_osc, budget=config.budget)
+    value = integrate_hausdorff(ifs, f, spec, override_osc=args.override_osc, budget=args.budget)
     doc = {
-        "config": _config_echo(config),
-        "function": expr,
-        "mode": mode,
+        "config": _config_echo(args, "seed", "samples"),
+        "function": args.function,
+        "mode": args.mode,
         "value": value,
     }
-    _emit(doc, config)
+    _emit(doc, args)
     return 0
+
+
+def _depth(text: str) -> int:
+    """--depth: an integer >= 0."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError("depth must be >= 0")
+    return depth
+
+
+def _exponent(text: str):
+    """-p/--exponent: a finite number, or the string 'auto'."""
+    if text == "auto":
+        return text
+    try:
+        exponent = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"exponent must be a number or 'auto', got {text!r}") from None
+    if not math.isfinite(exponent):
+        raise argparse.ArgumentTypeError(f"exponent must be finite, got {text!r}")
+    return exponent
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,42 +297,46 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, run, help, document=True):
+        """A subcommand on one system; a document command also takes --format and --out."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--preset", help="preset name, e.g. " + ", ".join(preset_names()))
         group.add_argument("--file", help="path to an IFS JSON file")
-        p.add_argument("--depth", type=int, default=6, help="word depth cutoff")
-        p.add_argument("-p", "--exponent", default="auto",
-                       help="trace exponent, or 'auto' for the similarity dimension")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--out", default=None, help="write the document here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--depth", type=_depth, default=6, help="word depth cutoff")
+        if document:
+            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+            p.add_argument("--out", default=None,
+                           help="write the document here instead of stdout")
         p.add_argument("--budget", type=int, default=None,
                        help="max placed cubes per enumeration (default from "
                             "FRACTAL_DIRAC_BUDGET or 10^7)")
-        p.add_argument("--samples", type=int, default=10000)
+        return p
 
-    p_analyze = sub.add_parser("analyze", help="full trace/component/pairing report")
-    add_common(p_analyze)
+    p_analyze = add_command("analyze", cmd_analyze, "full trace/component/pairing report")
+    p_analyze.add_argument("-p", "--exponent", type=_exponent, default="auto",
+                           help="trace exponent, or 'auto' for the similarity dimension")
 
-    p_render = sub.add_parser("render", help="SVG figure of the construction steps")
-    add_common(p_render)
+    p_render = add_command("render", cmd_render, "SVG figure of the construction steps",
+                           document=False)
     p_render.add_argument("--svg", default=None, help="output SVG path")
 
     p_verify = sub.add_parser("verify", help="run the operator-identity check suite")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--max-n", type=int, default=8)
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
-    p_pairing = sub.add_parser("pairing", help="integer index pairing with a projection")
-    add_common(p_pairing)
+    p_pairing = add_command("pairing", cmd_pairing, "integer index pairing with a projection")
     p_pairing.add_argument("--pk", type=int, default=None,
                            help="use the closed box [0, 3^-k] on the line")
     p_pairing.add_argument("--proj", default=None, help="path to a projection JSON file")
     p_pairing.add_argument("--gap-module", action="store_true",
                            help="also report the gap-interval module pairing")
 
-    p_int = sub.add_parser("integrate", help="integrate a function against the fractal measure")
-    add_common(p_int)
+    p_int = add_command("integrate", cmd_integrate,
+                        "integrate a function against the fractal measure")
+    p_int.add_argument("--seed", type=int, default=0)
+    p_int.add_argument("--samples", type=int, default=10000)
     p_int.add_argument("--function", default="1", help="expression in x1..xn, e.g. 'x1 + x2**2'")
     p_int.add_argument("--mode", choices=("deterministic", "chaos_game"), default="deterministic")
     p_int.add_argument("--override-osc", action="store_true",
@@ -348,45 +344,12 @@ def _build_parser():
     return parser
 
 
-def _make_config(args) -> RunConfig:
-    exponent = args.exponent
-    if exponent != "auto":
-        try:
-            exponent = float(exponent)
-        except ValueError as exc:
-            raise ValueError(f"exponent must be a number or 'auto', got {exponent!r}") from exc
-        if not math.isfinite(exponent):
-            raise ValueError(f"exponent must be finite, got {args.exponent!r}")
-    budget = args.budget if args.budget is not None else default_budget()
-    return RunConfig(
-        command=args.command,
-        preset=args.preset,
-        file=args.file,
-        depth=args.depth,
-        exponent=exponent,
-        fmt=args.format,
-        out=args.out,
-        seed=args.seed,
-        budget=budget,
-        samples=args.samples,
-    )
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "verify":
-            return cmd_verify(max_n=args.max_n, inject_fault=args.inject_fault)
-        config = _make_config(args)
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command == "render":
-            return cmd_render(config, args.svg)
-        if args.command == "pairing":
-            return cmd_pairing(config, args.pk, args.proj, args.gap_module)
-        if args.command == "integrate":
-            return cmd_integrate(config, args.function, args.mode, args.override_osc)
-        raise ValueError(f"unknown command {args.command!r}")
+        if "budget" in args and args.budget is None:  # verify takes no budget
+            args.budget = default_budget()
+        return args.run(args)
     except BudgetExceededError as exc:
         _error_out(exc, "budget-exceeded")
         return 3

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .components import level_one_components
+from .components import ComponentReport, level_one_components
 from .cube import vertex_bits
 from .errors import BudgetExceededError
 from .ifs import IfsSystem, compose, default_budget, iter_levels
@@ -224,7 +224,13 @@ def nonvanish_certificate(
     The induced projection is a padded box neighborhood of the component; the
     pairing on it is computed and compared against d0 - d1.
     """
-    report = level_one_components(ifs)
+    return component_certificate(ifs, level_one_components(ifs), budget=budget)
+
+
+def component_certificate(
+    ifs: IfsSystem, report: ComponentReport, budget: int | None = None
+) -> NonvanishCertificate | None:
+    """nonvanish_certificate from the level-one components already computed in report."""
     target = None
     for idx, comp in enumerate(report.components):
         if comp.d0 != comp.d1:

@@ -9,6 +9,7 @@ is exact for systems satisfying the open set condition.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -100,8 +101,9 @@ def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = No
 
     The value is the per-level power form; when the word count fits the
     budget the same sum is recomputed from an actual enumeration of composed
-    ratios and the two must agree.  error_bound is the exact geometric tail
-    when the series converges.
+    ratios and the two must agree.  The power form itself may sum at most
+    budget level terms.  error_bound is the exact geometric tail when the
+    series converges.
     """
     if p <= 0:
         raise ValueError("exponent must be positive")
@@ -109,14 +111,20 @@ def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = No
         raise ValueError("depth must be >= 0")
     dim = similarity_dimension(ifs)
     c = _ratio_power_sum(ifs, p)
+    if budget is None:
+        budget = default_budget()
+    terms = depth + 1  # the power form stops at its first term of 0.0; c >= 1 has none
+    if c < 1.0:
+        terms = bisect_left(range(depth + 1), True, key=lambda j: c**j == 0.0)
+    if terms > budget:
+        raise BudgetExceededError(
+            f"the power form at p={p} would sum {terms} level terms, over the budget of {budget}")
     try:  # for c < 1 every term after the first 0.0 is 0.0
         value = 2**ifs.n * math.fsum(takewhile(bool, (c**j for j in range(depth + 1))))
     except OverflowError:
         value = math.inf
     if math.isinf(value):
         raise DivergenceError(f"partial trace sum at p={p} overflows by depth {depth}")
-    if budget is None:
-        budget = default_budget()
     if word_count(ifs.num_maps, depth) <= budget:
         enumerated = _zeta_enumerated(ifs, p, depth)
         if not math.isclose(enumerated, value, rel_tol=1e-9):
@@ -299,8 +307,9 @@ def integrate_hausdorff(
     """Integral of f against the self-similar probability measure.
 
     Deterministic mode sums ratio^dim_s weights times f at depth-J cube
-    centers; chaos-game mode averages f over sample_count <= budget random
-    depth-J words drawn with the same per-symbol weights.
+    centers; chaos-game mode averages f over sample_count random depth-J words
+    drawn with the same per-symbol weights; the sample_count * max(1, J)
+    placed cubes they visit must fit the budget.
     """
     if not ifs.osc and not override_osc:
         raise ValueError(
@@ -325,9 +334,10 @@ def integrate_hausdorff(
             raise AssertionError(f"depth-{spec.depth} weights sum to {wsum!r}, not 1")
         return total
     budget = default_budget() if budget is None else budget
-    if spec.sample_count > budget:
+    if spec.sample_count * max(1, spec.depth) > budget:  # the placed cubes the samples visit
         raise BudgetExceededError(
-            f"drawing {spec.sample_count} sample words exceeds the budget of {budget}")
+            f"drawing {spec.sample_count} sample words of depth {spec.depth} exceeds the "
+            f"budget of {budget} placed cubes")
     # inverse-CDF draws, as Generator.choice(p=...) makes them, LEVEL_CHUNK rows at a time
     rng = np.random.default_rng(spec.seed)
     cdf = np.cumsum(weights / weights.sum())

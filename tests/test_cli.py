@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from fractal_dirac import cli, cube, ktheory
 from fractal_dirac.cli import POW_MAX_BITS, _power, function_from_expression, main
 
 
@@ -127,8 +128,19 @@ def test_verify_command(capsys):
     assert "9/9 checks passed" in out
 
 
-def test_verify_fault_injection(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "5", "--inject-fault")
+def test_verify_fault_injection(capsys, monkeypatch):
+    # negative control for the suite: one flipped sign in the n = 3 edge matrix
+    g_matrix = cube.g_matrix
+
+    def faulty(n):
+        g = g_matrix(n)
+        if n == 3:
+            g = g.copy()
+            g[0, 0] = -g[0, 0]
+        return g
+
+    monkeypatch.setattr(cube, "g_matrix", faulty)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "5")
     assert code == 1
     assert "FAIL unitarity" in out
 
@@ -212,7 +224,7 @@ def test_output_formats(capsys):
 
 
 def test_analyze_byte_stability(capsys):
-    args = ("analyze", "--preset", "rotation", "--depth", "5", "--seed", "7")
+    args = ("analyze", "--preset", "rotation", "--depth", "5")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
@@ -276,9 +288,12 @@ def test_integer_power_over_the_bound_is_invalid_input(capsys, expr):
 
 
 @pytest.mark.parametrize("extra", [["--samples", "1000000000000"], ["--samples", "100000000"],
-                                   ["--samples", "5000", "--budget", "1000"]])
+                                   ["--samples", "5000", "--budget", "1000"],
+                                   ["--samples", "1", "--depth", "1000000000"],
+                                   ["--samples", "1", "--depth", "20000000"]])
 def test_chaos_game_samples_over_budget(capsys, monkeypatch, extra):
-    # checked against the word budget before the sample array is allocated
+    # samples times depth, the placed cubes the samples visit, is checked against
+    # the word budget before the sample array is allocated
     monkeypatch.delenv("FRACTAL_DIRAC_BUDGET", raising=False)
     code, out, err = run_cli(
         capsys, "integrate", "--preset", "cantor_dust2", "--depth", "3", "--mode", "chaos_game",
@@ -326,6 +341,13 @@ def test_verify_takes_only_max_n(capsys, tmp_path, monkeypatch):
         ["analyze", "--depth", "2"],
         ["pairing", "--preset", "cantor_set", "--depth", "two"],
         ["no_such_command"],
+        ["analyze", "--preset", "cantor_set", "--seed", "1"],
+        ["render", "--preset", "cantor_set", "--out", "x.svg"],
+        ["pairing", "--preset", "cantor_set", "--pk", "1", "-p", "1"],
+        ["integrate", "--preset", "cantor_set", "-p", "1"],
+        ["verify", "--inject-fault"],
+        ["analyze", "--preset", "cantor_set", "--depth", "-1"],
+        ["pairing", "--preset", "cantor_set", "--pk", "2", "--depth", "-1"],
     ],
 )
 def test_usage_errors_are_json_invalid_input(capsys, argv):
@@ -390,7 +412,6 @@ CHAOS_DUST2_DOC = """{
     "budget": 10000000,
     "command": "integrate",
     "depth": 10,
-    "exponent": "auto",
     "file": null,
     "format": "json",
     "preset": "cantor_dust2",
@@ -413,3 +434,31 @@ def test_integrate_chaos_game_document_is_pinned(capsys, monkeypatch):
     )
     assert code == 0
     assert out == CHAOS_DUST2_DOC
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["analyze", "--preset", "cantor_set", "--depth", "3"], ["exponent"]),
+    (["pairing", "--preset", "cantor_set", "--pk", "1"], []),
+    (["integrate", "--preset", "cantor_set", "--depth", "3"], ["samples", "seed"]),
+])
+def test_config_echoes_only_the_options_a_command_takes(capsys, argv, extra):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    shared = ["budget", "command", "depth", "file", "format", "preset"]
+    assert list(json.loads(out)["config"]) == sorted(shared + extra)
+
+
+def test_analyze_computes_the_components_once(capsys, monkeypatch):
+    calls = []
+    original = ktheory.level_one_components
+
+    def counted(ifs):
+        calls.append(ifs.label)
+        return original(ifs)
+
+    monkeypatch.setattr(cli, "level_one_components", counted)
+    monkeypatch.setattr(ktheory, "level_one_components", counted)
+    code, out, _ = run_cli(capsys, "analyze", "--preset", "cantor_dust2", "--depth", "3")
+    assert code == 0
+    assert json.loads(out)["certificate"]["matches"] is True
+    assert len(calls) == 1

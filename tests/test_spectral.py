@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fractal_dirac import (
+    BudgetExceededError,
     DivergenceError,
     IfsSystem,
     QuadratureSpec,
@@ -139,6 +140,20 @@ def test_zeta_truncated_power_form_streams_its_terms():
         tracemalloc.stop()
     assert deep == expected
     assert peak < 4 * 2**20  # a list of 10^6 level terms alone takes 32 MB
+
+
+def test_zeta_truncated_power_form_terms_are_budgeted():
+    cs = cantor_set()
+    dim = similarity_dimension(cs)
+    # at p = dim_s the ratio sum c is within rounding of 1, so no term underflows
+    with pytest.raises(BudgetExceededError):
+        zeta_truncated(cs, dim, 2 * 10**6, budget=10**6)
+    assert zeta_truncated(cs, dim, 10**6 - 1, budget=10**6).depth == 10**6 - 1
+    # at p = 1 the terms reach 0.0 near j = 1840, so a deep cutoff sums fewer of them
+    expected = 2.0 * math.fsum([(2.0 / 3.0) ** j for j in range(5001)])
+    assert zeta_truncated(cs, 1.0, 10**9, budget=2000).value == expected
+    with pytest.raises(BudgetExceededError):
+        zeta_truncated(cs, 1.0, 10**9, budget=1000)
 
 
 def test_zeta_truncated_below_critical_has_no_bound():
