@@ -12,24 +12,24 @@ from fractal_dirac import (
     grading,
     oriented_edges,
     u_matrix,
-    vertex_table,
     x_matrix,
 )
+from fractal_dirac.cube import vertex_bits
 
 np.set_printoptions(linewidth=120, suppress=True)
 
 print("Vertex numbering of the square (edge length 1):")
-print(vertex_table(2).vertices)
+print(vertex_bits(2) * 1.0)
 print()
 print("and of the 3-cube; the second half mirrors the first with the last")
 print("coordinate raised, which makes index parity match vertex parity:")
-print(vertex_table(3).vertices)
+print(vertex_bits(3) * 1.0)
 print()
 
 print("Signed adjacency between odd and even vertices (rows: v1,v3,...):")
 for n in (1, 2, 3):
     print(f"n={n}:")
-    print(oriented_edges(n).entries)
+    print(oriented_edges(n))
 print()
 
 print("The matrix family: a block-swap involution X, the signed edge matrix G,")
@@ -54,6 +54,6 @@ for name, residual in [
 print()
 print("Sign pattern of G vs the independent edge-orientation recursion:")
 agree = all(
-    np.array_equal(np.sign(g_matrix(n)), oriented_edges(n).entries) for n in range(1, 11)
+    np.array_equal(np.sign(g_matrix(n)), oriented_edges(n)) for n in range(1, 11)
 )
 print(f"  identical for n = 1..10: {agree}")

@@ -13,14 +13,11 @@ from .calculus import (
 )
 from .components import Component, ComponentReport, level_one_components
 from .cube import (
-    CubeVertexTable,
-    SignedAdjacency,
     f_matrix,
     g_matrix,
     grading,
     oriented_edges,
     u_matrix,
-    vertex_table,
     x_matrix,
 )
 from .errors import BudgetExceededError, CapacityError, DivergenceError, FractalDiracError

@@ -55,7 +55,7 @@ def check_involution(max_n=8):
 def check_sign_pattern(max_n=8):
     worst = 0
     for n in range(1, max_n + 1):
-        diff = np.sign(cube.g_matrix(n)) - cube.oriented_edges(n).entries
+        diff = np.sign(cube.g_matrix(n)) - cube.oriented_edges(n)
         worst = max(worst, int(np.max(np.abs(diff))))
     return _result("edge_sign_pattern", float(worst), 0.0, f"n<={max_n}, exact")
 

@@ -258,15 +258,19 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def _depth(text: str) -> int:
-    """--depth: an integer >= 0."""
-    try:
-        depth = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if depth < 0:
-        raise argparse.ArgumentTypeError("depth must be >= 0")
-    return depth
+def _at_least(low: int, name: str):
+    """An argparse type: an integer >= low (--depth 0, --budget and --max-n 1)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        return value
+
+    return parse
 
 
 def _exponent(text: str):
@@ -304,12 +308,12 @@ def _build_parser():
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--preset", help="preset name, e.g. " + ", ".join(preset_names()))
         group.add_argument("--file", help="path to an IFS JSON file")
-        p.add_argument("--depth", type=_depth, default=6, help="word depth cutoff")
+        p.add_argument("--depth", type=_at_least(0, "depth"), default=6, help="word depth cutoff")
         if document:
             p.add_argument("--format", choices=("json", "csv", "text"), default="json")
             p.add_argument("--out", default=None,
                            help="write the document here instead of stdout")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_at_least(1, "budget"), default=None,
                        help="max placed cubes per enumeration (default from "
                             "FRACTAL_DIRAC_BUDGET or 10^7)")
         return p
@@ -324,7 +328,7 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run the operator-identity check suite")
     p_verify.set_defaults(run=cmd_verify)
-    p_verify.add_argument("--max-n", type=int, default=8)
+    p_verify.add_argument("--max-n", type=_at_least(1, "max-n"), default=8)
 
     p_pairing = add_command("pairing", cmd_pairing, "integer index pairing with a projection")
     p_pairing.add_argument("--pk", type=int, default=None,

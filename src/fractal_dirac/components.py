@@ -75,12 +75,6 @@ class ComponentReport:
     def count(self) -> int:
         return len(self.components)
 
-    def parity_totals(self):
-        return (
-            sum(c.d0 for c in self.components),
-            sum(c.d1 for c in self.components),
-        )
-
 
 def level_one_components(ifs: IfsSystem) -> ComponentReport:
     """Components of the original vertices united with the level-one cube images."""

@@ -8,7 +8,6 @@ every cube edge joins vertices of opposite parity.  All operator matrices act
 in block order: even vertices first, odd vertices second.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,27 +42,6 @@ def vertex_bits(n: int) -> np.ndarray:
     return _frozen(bits)
 
 
-@dataclass(frozen=True)
-class CubeVertexTable:
-    """Numbered vertices of [0, e]^n with their even/odd split."""
-
-    n: int
-    edge_length: float
-    vertices: np.ndarray  # (2^n, n), entries 0 or edge_length
-    parity: np.ndarray  # (2^n,), vertex index mod 2
-
-
-def vertex_table(n: int, edge_length: float = 1.0) -> CubeVertexTable:
-    """Build the vertex numbering of the cube [0, edge_length]^n."""
-    _check_dim(n)
-    if edge_length <= 0:
-        raise ValueError(f"edge_length must be positive, got {edge_length}")
-    bits = vertex_bits(n)
-    verts = _frozen(bits * float(edge_length))
-    parity = _frozen(np.arange(2**n, dtype=np.int64) % 2)
-    return CubeVertexTable(n=n, edge_length=float(edge_length), vertices=verts, parity=parity)
-
-
 @lru_cache(maxsize=None)
 def oriented_edge_set(n: int) -> frozenset:
     """Directed vertex-index pairs (i, j) meaning edge i -> j.
@@ -86,20 +64,12 @@ def oriented_edge_set(n: int) -> frozenset:
     return frozenset(edges)
 
 
-@dataclass(frozen=True)
-class SignedAdjacency:
-    """Signed odd-by-even incidence of oriented cube edges.
+def oriented_edges(n: int) -> np.ndarray:
+    """Signed odd-by-even incidence of oriented cube edges, a frozen integer array.
 
-    Row i corresponds to odd vertex 2i+1, column j to even vertex 2j. Entry +1
+    Row i corresponds to odd vertex 2i+1, column j to even vertex 2j.  Entry +1
     records the edge even -> odd, -1 the reverse, 0 no edge.
     """
-
-    n: int
-    entries: np.ndarray  # (2^{n-1}, 2^{n-1}) over {-1, 0, +1}
-
-
-def oriented_edges(n: int) -> SignedAdjacency:
-    """Signed adjacency built from the edge-orientation recursion."""
     _check_dim(n)
     m = 2 ** (n - 1)
     entries = np.zeros((m, m), dtype=np.int64)
@@ -108,7 +78,7 @@ def oriented_edges(n: int) -> SignedAdjacency:
             entries[v // 2, u // 2] = 1
         else:  # odd -> even
             entries[u // 2, v // 2] = -1
-    return SignedAdjacency(n=n, entries=_frozen(entries))
+    return _frozen(entries)
 
 
 @lru_cache(maxsize=None)

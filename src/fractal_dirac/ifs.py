@@ -168,13 +168,22 @@ def word_count(num_symbols: int, depth: int) -> int:
 
 
 def _check_budget(ifs, depth, budget):
+    """Refuse more than budget words of length <= depth.  There are at least
+    2^depth of them when N >= 2, so the exact count is formed only for a depth
+    below the bit length of the budget."""
     if budget is None:
         budget = default_budget()
-    total = word_count(ifs.num_maps, depth)
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumerating {total} words of depth <= {depth} exceeds the budget of {budget}"
-        )
+    if budget == float("inf"):  # the caller counts its own visits
+        return
+    if ifs.num_maps == 1 or depth < int(budget).bit_length():
+        total = word_count(ifs.num_maps, depth)
+        if total <= budget:
+            return
+    else:
+        total = f"at least 2^{depth}"
+    raise BudgetExceededError(
+        f"enumerating {total} words of depth <= {depth} exceeds the budget of {budget}"
+    )
 
 
 def _sweep(ifs: IfsSystem, block: PlacedCube, depth: int):
@@ -216,7 +225,12 @@ def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
 
 
 def similarity_dimension(ifs: IfsSystem) -> float:
-    """Unique root of sum(ratio^p) = 1, found by bisection with doubling bracket."""
+    """Unique root of sum(ratio^p) = 1, found by bisection with doubling bracket.
+
+    The bisection stops at DIMENSION_TOL, or earlier once the midpoint is no
+    longer strictly inside the bracket (above p = 8192 adjacent floats lie
+    farther apart than DIMENSION_TOL).
+    """
     ratios = ifs.ratios
 
     def residual(p):
@@ -229,9 +243,8 @@ def similarity_dimension(ifs: IfsSystem) -> float:
     while residual(hi) > 0.0:
         hi *= 2.0
         if hi > 1e6:
-            raise RuntimeError("failed to bracket the similarity dimension")
-    while hi - lo > DIMENSION_TOL:
-        mid = 0.5 * (lo + hi)
+            raise ValueError("the similarity dimension exceeds 10^6: ratios too close to 1")
+    while hi - lo > DIMENSION_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
         if residual(mid) > 0.0:
             lo = mid
         else:

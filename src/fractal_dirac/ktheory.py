@@ -177,6 +177,8 @@ def index_pairing(
         raise ValueError("projection dimension does not match the system")
     if budget is None:
         budget = default_budget()
+    if depth + 1 > budget:  # before the per-depth table below
+        raise BudgetExceededError(f"index pairing to depth {depth} exceeds the budget of {budget}")
     increments = [0] * (depth + 1)
     visited = 0
     # no word budget for the engine: pruning visits fewer cubes, counted here

@@ -89,7 +89,7 @@ def render_svg(ifs: IfsSystem, depth: int, budget: int | None = None) -> str:
     out.extend(dots)
 
     root = _project(vertex_bits(ifs.n).astype(float), ifs.n)
-    signs = oriented_edges(ifs.n).entries
+    signs = oriented_edges(ifs.n)
     for i in range(signs.shape[0]):
         for j in range(signs.shape[1]):
             if signs[i, j] == 0:

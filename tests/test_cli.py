@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,51 @@ def test_render_budget_exceeded_exit_code(capsys, tmp_path, extra):
     assert code == 3 and out == ""
     assert json.loads(err)["kind"] == "budget-exceeded"
     assert not (tmp_path / "m.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--preset", "cantor_set", "--depth", "20000"],
+        ["render", "--preset", "cantor_set", "--depth", "1000000000"],
+        ["integrate", "--preset", "cantor_set", "--depth", "1000000000"],
+        ["pairing", "--preset", "cantor_set", "--pk", "2", "--depth", "1000000000"],
+    ],
+)
+def test_deep_request_is_refused_before_it_is_sized(capsys, tmp_path, monkeypatch, argv):
+    # 2^depth words exceed the budget: refused without forming N^(depth+1) or
+    # allocating a per-depth table, so no digit-limit error and no wait
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "budget-exceeded"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _two_map_file(tmp_path, ratio):
+    path = tmp_path / "near_one.json"
+    entry = {"ratio": ratio, "matrix": [1.0], "translation": [0.0]}
+    path.write_text(json.dumps({"n": 1, "maps": [entry, entry]}))
+    return str(path)
+
+
+def test_dimension_above_float_resolution(capsys, tmp_path):
+    # dim_s = log 2 / -log 0.99999 = 69314: adjacent floats there lie farther
+    # apart than the bisection tolerance, and the bisection still ends
+    code, out, _ = run_cli(capsys, "analyze", "--file", _two_map_file(tmp_path, 0.99999))
+    assert code == 0
+    doc = json.loads(out)
+    assert math.isclose(doc["dim_s"], math.log(2) / -math.log(0.99999), rel_tol=1e-9)
+    assert math.isclose(doc["dixmier"]["value"], 2 / math.log(2), rel_tol=1e-12)
+
+
+def test_dimension_beyond_bracket_is_invalid_input(capsys, tmp_path):
+    # dim_s = 6.9e6 lies past the bracket the bisection searches
+    code, out, err = run_cli(capsys, "analyze", "--file", _two_map_file(tmp_path, 0.9999999))
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "invalid-input"
 
 
 def test_unknown_preset_exit_code(capsys):
@@ -348,6 +394,10 @@ def test_verify_takes_only_max_n(capsys, tmp_path, monkeypatch):
         ["verify", "--inject-fault"],
         ["analyze", "--preset", "cantor_set", "--depth", "-1"],
         ["pairing", "--preset", "cantor_set", "--pk", "2", "--depth", "-1"],
+        ["analyze", "--preset", "cantor_set", "--budget", "0"],
+        ["analyze", "--preset", "cantor_set", "--budget", "-1"],
+        ["verify", "--max-n", "0"],
+        ["verify", "--max-n", "-3"],
     ],
 )
 def test_usage_errors_are_json_invalid_input(capsys, argv):

@@ -8,7 +8,6 @@ from fractal_dirac import (
     grading,
     oriented_edges,
     u_matrix,
-    vertex_table,
     x_matrix,
 )
 from fractal_dirac.cube import oriented_edge_set, vertex_bits
@@ -18,22 +17,19 @@ G3 = np.array([[1, -1, 0, -1], [1, 1, -1, 0], [0, 1, 1, -1], [1, 0, 1, 1]])
 
 
 def test_vertex_numbering_line():
-    table = vertex_table(1, 2.5)
-    np.testing.assert_allclose(table.vertices, [[0.0], [2.5]])
+    np.testing.assert_allclose(vertex_bits(1) * 2.5, [[0.0], [2.5]])
 
 
 def test_vertex_numbering_square():
-    table = vertex_table(2, 1.0)
-    np.testing.assert_allclose(table.vertices, [[0, 0], [1, 0], [1, 1], [0, 1]])
+    np.testing.assert_array_equal(vertex_bits(2), [[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
 def test_vertex_numbering_cube():
-    table = vertex_table(3, 1.0)
     expected = [
         [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
         [0, 1, 1], [1, 1, 1], [1, 0, 1], [0, 0, 1],
     ]
-    np.testing.assert_allclose(table.vertices, expected)
+    np.testing.assert_array_equal(vertex_bits(3), expected)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -52,12 +48,12 @@ def test_vertex_recursion_invariants(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_parity_split_and_edges(n):
-    table = vertex_table(n)
-    even = np.sum(table.parity == 0)
-    odd = np.sum(table.parity == 1)
-    assert even == odd == 2 ** (n - 1)
+    # the parity of a vertex's coordinate sum is the parity of its index
+    parity = vertex_bits(n).sum(axis=1) % 2
+    np.testing.assert_array_equal(parity, np.arange(2**n) % 2)
+    assert np.sum(parity == 0) == np.sum(parity == 1) == 2 ** (n - 1)
     for a, b in oriented_edge_set(n):
-        assert table.parity[a] != table.parity[b]
+        assert parity[a] != parity[b]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -71,14 +67,14 @@ def test_oriented_edges_are_hamming_neighbours(n):
 
 
 def test_oriented_edges_small():
-    assert oriented_edges(1).entries.tolist() == [[1]]
-    np.testing.assert_array_equal(oriented_edges(2).entries, G2)
-    np.testing.assert_array_equal(oriented_edges(3).entries, np.sign(G3))
+    assert oriented_edges(1).tolist() == [[1]]
+    np.testing.assert_array_equal(oriented_edges(2), G2)
+    np.testing.assert_array_equal(oriented_edges(3), np.sign(G3))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_oriented_edges_degree(n):
-    entries = oriented_edges(n).entries
+    entries = oriented_edges(n)
     assert np.all(np.sum(entries != 0, axis=0) == n)
     assert np.all(np.sum(entries != 0, axis=1) == n)
     # every directed edge joins a vertex to one of opposite parity
@@ -88,7 +84,7 @@ def test_oriented_edges_degree(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_sign_pattern_matches_edge_matrix(n):
-    np.testing.assert_array_equal(np.sign(g_matrix(n)), oriented_edges(n).entries)
+    np.testing.assert_array_equal(np.sign(g_matrix(n)), oriented_edges(n))
 
 
 def test_printed_matrices():
@@ -121,12 +117,8 @@ def test_swap_intertwines_edge_matrix_exactly(n):
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        vertex_table(0)
-    with pytest.raises(ValueError):
-        vertex_table(2, 0.0)
-    with pytest.raises(ValueError):
-        vertex_table(2, -1.0)
+        vertex_bits(0)
     with pytest.raises(CapacityError):
         g_matrix(13)
     with pytest.raises(CapacityError):
-        vertex_table(13)
+        vertex_bits(13)

@@ -9,7 +9,6 @@ from fractal_dirac import (
     DivergenceError,
     IfsSystem,
     QuadratureSpec,
-    TraceReport,
     abs_volume_block_deviation,
     cantor_dust,
     cantor_set,
@@ -34,14 +33,10 @@ from fractal_dirac import (
     zeta_closed,
     zeta_truncated,
 )
+from fractal_dirac.ifs import iter_levels
 from fractal_dirac.spectral import _residue_limit
 
 LOG2 = math.log(2.0)
-
-
-def test_trace_report_rejects_unknown_quantity():
-    with pytest.raises(ValueError):
-        TraceReport(quantity="bogus", p=1.0, value=1.0, dim_s=1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -99,23 +94,15 @@ def test_zeta_truncated_tail_bound():
         assert gap <= trunc.error_bound + 1e-12 * (1.0 + closed)
 
 
-def test_zeta_truncated_enumeration_modes(monkeypatch):
-    from fractal_dirac import spectral
-
+def test_zeta_truncated_enumeration_modes():
     sponge = preset("menger_sponge")
-    calls = []
-    real = spectral._zeta_enumerated
-    monkeypatch.setattr(
-        spectral, "_zeta_enumerated", lambda *args: calls.append(args) or real(*args)
-    )
-    # above the budget the cross-check is skipped; the power form is still exact
+    # above the word budget the power form is still exact
     above = zeta_truncated(sponge, 3.5, 8).value
-    assert calls == []
     c = 20 * 3.0**-3.5
     np.testing.assert_allclose(above, 8.0 * (1 - c**9) / (1 - c), rtol=1e-12)
-    # below the budget the enumerated cross-check runs
-    zeta_truncated(sponge, 3.5, 3)
-    assert len(calls) == 1
+    # below it, the power form is the sum of 2^n e_w^p over the enumerated words
+    words = sum(float(np.sum(b.e_w**3.5)) for b in iter_levels(sponge, 3))
+    np.testing.assert_allclose(zeta_truncated(sponge, 3.5, 3).value, 8.0 * words, rtol=1e-12)
 
 
 @pytest.mark.parametrize("depth", [1215, 2000])
@@ -286,6 +273,19 @@ def test_integrate_constant_is_one(any_preset):
     spec = QuadratureSpec(depth=4)
     got = integrate_hausdorff(any_preset, lambda p: 1.0, spec, override_osc=True)
     np.testing.assert_allclose(got, 1.0, atol=1e-10)
+
+
+def test_integrate_returns_the_weighted_sum_without_checking_it(monkeypatch):
+    # an exponent 1e-9 off dim_s leaves the 8 depth-3 weights summing to 1 - 3.3e-9:
+    # the value is still their weighted sum of f, not an error
+    from fractal_dirac import spectral
+
+    cs = cantor_set()
+    dim = similarity_dimension(cs) + 1e-9
+    monkeypatch.setattr(spectral, "similarity_dimension", lambda ifs: dim)
+    got = integrate_hausdorff(cs, lambda x: 1.0, QuadratureSpec(depth=3))
+    np.testing.assert_allclose(got, 8 * 3.0 ** (-3 * dim), rtol=1e-14)
+    assert got < 1.0 - 1e-9
 
 
 def test_integrate_coordinate_cantor_set():
