@@ -12,6 +12,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import _verify
 from .components import level_one_components
 from .errors import BudgetExceededError, DivergenceError
@@ -86,7 +88,8 @@ class _PowerCalls(ast.NodeTransformer):
 
 
 def function_from_expression(expr: str, n: int):
-    """Compile a small arithmetic expression in x1..xn into a point function."""
+    """Compile a small arithmetic expression in x1..xn into an integrand on (n, m)
+    coordinate arrays, evaluated once per point; one point of shape (n,) gives a float."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -105,6 +108,8 @@ def function_from_expression(expr: str, n: int):
     code = compile(ast.fix_missing_locations(_PowerCalls().visit(tree)), "<function>", "eval")
 
     def f(point):
+        if np.ndim(point) > 1:  # coordinate arrays (n, m): one point at a time
+            return np.array([f(column) for column in np.transpose(point)])
         env = dict(_ALLOWED_CALLS, _power=_power)
         for i in range(n):
             env[f"x{i + 1}"] = float(point[i])

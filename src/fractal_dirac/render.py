@@ -6,8 +6,6 @@ ones, and decorates the level-zero cube with its oriented edges.  Systems in
 dimensions other than 2 are projected onto the first two axes.
 """
 
-import warnings
-
 import numpy as np
 
 from .cube import oriented_edges, vertex_bits
@@ -38,11 +36,6 @@ def _project(points, n):
 
 def render_svg(ifs: IfsSystem, depth: int, budget: int | None = None) -> str:
     """SVG document of the first depth+1 construction steps."""
-    if ifs.n != 2:
-        warnings.warn(
-            f"rendering projects the {ifs.n}-dimensional system onto its first two axes",
-            stacklevel=2,
-        )
     pad = 0.08
     scale = SIZE / (1.0 + 2.0 * pad)
 

@@ -15,7 +15,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .calculus import matrix_abs, placed_coordinate_form
+from .calculus import SCALAR_TOL, coordinate_form, matrix_abs, placed_coordinate_form
 from .cube import g_matrix
 from .errors import BudgetExceededError, DivergenceError
 from .ifs import (
@@ -216,26 +216,39 @@ def quantized_volume_truncated(
 ) -> TraceReport:
     """Partial volume-trace sum built from actual per-word operator blocks.
 
-    For every word the ordered product of placed coordinate commutators is
-    formed and its operator absolute value must be scalar within BLOCK_TOL;
-    the scalars feed the sum.  This exercises the matrix route rather than
-    the closed scalar shortcut.
+    For every word the ordered product P of placed coordinate commutators is
+    formed, a whole iter_levels block at a time, and its operator absolute
+    value must be scalar within BLOCK_TOL; the scalars feed the sum.  A row
+    whose P^T P is not scalar within SCALAR_TOL goes through matrix_abs alone.
+    This exercises the matrix route rather than the closed scalar shortcut.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dim = similarity_dimension(ifs)
     n = ifs.n
+    diag = np.arange(2**n)
     total = 0.0
-    for cube in iter_placed(ifs, depth, budget=budget):
-        block = _volume_block(cube)
-        scal = float(block[0, 0])
-        dev = float(np.max(np.abs(block - scal * np.eye(2**n))))
-        expected = cube.e_w**n / n ** (n / 2.0)
-        if dev > BLOCK_TOL * max(1.0, expected):
-            raise AssertionError(
-                f"volume block at word {cube.words.tolist()} is not scalar within {BLOCK_TOL:g}"
-            )
-        total += 2**n * scal**p
+    for block in iter_levels(ifs, depth, budget=budget):
+        prod = None
+        for alpha in range(n):  # placed_coordinate_form of every row at once
+            form = np.zeros((block.e_w.size, 2**n, 2**n))
+            for j in range(n):
+                form += block.transform[:, alpha, j, None, None] * coordinate_form(n, j + 1)
+            form *= (block.e_w / np.sqrt(n))[:, None, None]
+            prod = form if prod is None else np.matmul(prod, form)
+        h = np.matmul(np.swapaxes(prod, 1, 2), prod)  # matrix_abs's scalar test, every row at once
+        c = h[:, 0, 0].copy()
+        h[:, diag, diag] -= c[:, None]
+        scalar = np.abs(h, out=h).max(axis=(1, 2)) <= SCALAR_TOL * np.maximum(1.0, np.abs(c))
+        for i, scal in enumerate(np.sqrt(np.maximum(c, 0.0)).tolist()):
+            if not scalar[i]:
+                block_abs = matrix_abs(prod[i])
+                scal = float(block_abs[0, 0])
+                dev = float(np.max(np.abs(block_abs - scal * np.eye(2**n))))
+                if dev > BLOCK_TOL * max(1.0, block.e_w[i]**n / n ** (n / 2.0)):
+                    raise AssertionError(f"volume block at word {block.words[i].tolist()} "
+                                         f"is not scalar within {BLOCK_TOL:g}")
+            total += 2**n * scal**p
     c = _ratio_power_sum(ifs, n * p)
     bound = None
     if c < 1.0:
@@ -275,7 +288,9 @@ def integrate_hausdorff(
     Deterministic mode sums ratio^dim_s weights times f at depth-J cube
     centers; chaos-game mode averages f over sample_count random depth-J words
     drawn with the same per-symbol weights; the sample_count * max(1, J)
-    placed cubes they visit must fit the budget.
+    placed cubes they visit must fit the budget.  f takes x of shape (n, m),
+    coordinate i of m points in x[i], and returns their m values or one
+    scalar for all; it is called once per block of centres or of samples.
     """
     if not ifs.osc and not override_osc:
         raise ValueError(
@@ -288,8 +303,8 @@ def integrate_hausdorff(
         for block in iter_levels(ifs, spec.depth, budget=budget):
             if block.level != spec.depth:
                 continue
-            for e, center in zip(block.e_w.tolist(), block.centers()):
-                total += e**dim * float(f(center))
+            for e, value in zip(block.e_w.tolist(), _point_values(f, block.centers()).tolist()):
+                total += e**dim * value
         return total
     budget = default_budget() if budget is None else budget
     if spec.sample_count * max(1, spec.depth) > budget:  # the placed cubes the samples visit
@@ -312,7 +327,7 @@ def integrate_hausdorff(
         for col in range(spec.depth - 1, -1, -1):
             s = draws[:, col]
             pts = ratios[s, None] * np.einsum("kij,kj->ki", mats[s], pts) + trans[s]
-        values[start: start + k] = [float(f(pt)) for pt in pts]
+        values[start: start + k] = _point_values(f, pts)
     return float(values.mean())
 
 
@@ -323,7 +338,8 @@ def weighted_functional(
 
     Per-level vertex sums of f weighted by e_w^{z p} are accumulated to the
     cutoff depth, completed by a geometric tail in the per-level ratio sum,
-    multiplied by (z - 1), and extrapolated to z = 1.
+    multiplied by (z - 1), and extrapolated to z = 1.  f takes (n, m)
+    coordinate arrays of whole blocks of vertices, as in integrate_hausdorff.
     """
     dim = similarity_dimension(ifs)
     if abs(p - dim) > EQUALITY_TOL:
@@ -350,10 +366,15 @@ def weighted_functional(
     )
 
 
+def _point_values(f, points):
+    """f at the m rows of points, shape (m, n), from one call on their (n, m) coordinates."""
+    return np.broadcast_to(np.asarray(f(points.T), dtype=float), points.shape[:1])
+
+
 def _vertex_values(f, block):
     """f at every placed vertex of the block, shape (k, 2^n)."""
     v = block.vertices
-    return np.array([float(f(x)) for x in v.reshape(-1, v.shape[2])]).reshape(v.shape[:2])
+    return _point_values(f, v.reshape(-1, v.shape[2])).reshape(v.shape[:2])
 
 
 def weighted_factorization(
@@ -367,7 +388,8 @@ def weighted_factorization(
     """Weighted functional next to its factorized prediction.
 
     Returns (report, predicted, rel_diff) where predicted is the critical
-    residue value times the quadrature integral of f.
+    residue value times the quadrature integral of f, which takes (n, m)
+    coordinate arrays as in integrate_hausdorff.
     """
     dim = similarity_dimension(ifs)
     report = weighted_functional(ifs, f, dim, depth, budget=budget)
@@ -442,7 +464,8 @@ def commutator_norm_check(ifs: IfsSystem, f, depth: int, budget: int | None = No
     difference quotient of f on the placed cube; the sharper constant without
     the sqrt(n) factor is reported but not enforced.  g is +-1 exactly on
     the cube edges (odd row, even column) and 0 elsewhere, so the largest
-    entry of |delta * g| is the largest edge difference of f.
+    entry of |delta * g| is the largest edge difference of f.  f takes (n, m)
+    coordinate arrays of whole blocks of vertices, as in integrate_hausdorff.
     """
     n = ifs.n
     g = g_matrix(n)

@@ -302,6 +302,10 @@ def test_function_expressions():
     assert f(np.array([1.0, 3.0])) == 19.0
     g = function_from_expression("sin(x1)", 1)
     assert abs(g(np.array([0.5])) - math.sin(0.5)) < 1e-15
+    assert type(f(np.array([1.0, 3.0]))) is float
+    # coordinate arrays (n, m), x[i] holding coordinate i of m points: one value a point
+    got = f(np.array([[1.0, 0.5, -2.0], [3.0, 0.25, 1.0]]))
+    assert got.shape == (3,) and got.tolist() == [19.0, 0.625, 0.0]
     with pytest.raises(ValueError):
         function_from_expression("__import__('os')", 1)
     with pytest.raises(ValueError):
@@ -420,6 +424,30 @@ def test_usage_error_process_contract():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert [json.loads(line)["kind"] for line in proc.stderr.splitlines()] == ["invalid-input"]
+
+
+def _cli_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "fractal_dirac.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_refused_render_writes_one_json_line_to_stderr(tmp_path):
+    # an n = 1 system is projected onto two axes without a warning ahead of the document
+    proc = _cli_process("render", "--preset", "cantor_set", "--depth", "20000",
+                        "--svg", str(tmp_path / "c.svg"))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert [json.loads(line)["kind"] for line in proc.stderr.splitlines()] == ["budget-exceeded"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_render_of_a_projected_system_leaves_stderr_empty(tmp_path):
+    out_path = tmp_path / "x.svg"
+    proc = _cli_process("render", "--preset", "sc3", "--depth", "1", "--svg", str(out_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["written"] == str(out_path)
+    assert out_path.read_text().count("<polygon") == 1 + 20
 
 
 def test_library_runs_without_scipy():

@@ -18,6 +18,7 @@ from fractal_dirac import (
     g_matrix,
     integrate_hausdorff,
     iter_placed,
+    menger_sponge,
     non_osc,
     preset,
     quantized_volume,
@@ -33,8 +34,9 @@ from fractal_dirac import (
     zeta_closed,
     zeta_truncated,
 )
-from fractal_dirac.ifs import iter_levels
-from fractal_dirac.spectral import _residue_limit
+from fractal_dirac import calculus, spectral
+from fractal_dirac.ifs import LEVEL_CHUNK, iter_levels
+from fractal_dirac.spectral import _residue_limit, _volume_block
 
 LOG2 = math.log(2.0)
 
@@ -269,6 +271,55 @@ def test_rotation_volume_blocks_scalar_to_depth_4():
     assert abs_volume_block_deviation(rotation(), 4) <= 1e-10
 
 
+def _volume_per_cube(ifs, p, depth):
+    """One dense block at a time over iter_placed: the reference for the batched products."""
+    total = 0.0
+    for cube in iter_placed(ifs, depth):
+        total += 2**ifs.n * float(_volume_block(cube)[0, 0]) ** p
+    return total
+
+
+@pytest.mark.parametrize(
+    "name,depth", [("rotation:0.7", 4), ("menger_sponge", 2), ("sc3", 1), ("cantor_dust2", 4)]
+)
+def test_quantized_volume_matches_per_cube_blocks(name, depth):
+    ifs = preset(name)
+    p = similarity_dimension(ifs) / ifs.n
+    got = quantized_volume_truncated(ifs, p, depth).value
+    assert got == pytest.approx(_volume_per_cube(ifs, p, depth), rel=1e-15)
+
+
+def _stretch_first_form(monkeypatch, delta):
+    # the first coordinate form times diag(1, 1 + delta, ...), in both routes:
+    # P^T P is then e^2 diag(1, (1 + delta)^2, ...), scalar only within 2 delta e^2
+    exact = calculus.coordinate_form
+
+    def form(n, alpha):
+        f = exact(n, alpha)
+        return f @ np.diag(1.0 + delta * (np.arange(2**n) > 0)) if alpha == 1 else f
+
+    monkeypatch.setattr(calculus, "coordinate_form", form)
+    monkeypatch.setattr(spectral, "coordinate_form", form)
+
+
+def test_volume_rows_off_the_scalar_test_go_through_matrix_abs(monkeypatch):
+    # with delta = 1e-10 only the root block (e = 1) misses SCALAR_TOL = 1e-10;
+    # its |P| deviates by 1e-10, within BLOCK_TOL, so it is accepted
+    _stretch_first_form(monkeypatch, 1e-10)
+    cs = cantor_set()
+    exact_abs, rows = spectral.matrix_abs, []
+    monkeypatch.setattr(spectral, "matrix_abs", lambda a: rows.append(a) or exact_abs(a))
+    got = quantized_volume_truncated(cs, 0.7, 3).value
+    assert len(rows) == 1
+    assert got == _volume_per_cube(cs, 0.7, 3)
+
+
+def test_volume_block_off_scalar_names_its_word(monkeypatch):
+    _stretch_first_form(monkeypatch, 1e-8)
+    with pytest.raises(AssertionError, match=r"block at word \[\] is not scalar within 1e-09"):
+        quantized_volume_truncated(cantor_set(), 0.7, 3)
+
+
 def test_integrate_constant_is_one(any_preset):
     spec = QuadratureSpec(depth=4)
     got = integrate_hausdorff(any_preset, lambda p: 1.0, spec, override_osc=True)
@@ -302,6 +353,50 @@ def test_integrate_coordinate_sum_dust():
     np.testing.assert_allclose(got, 1.0, atol=1e-6)
 
 
+def test_integrands_get_whole_blocks_of_points():
+    # the call counts follow from the engine's chunk rule: at n = 3 a block holds
+    # at most LEVEL_CHUNK rows and children are built LEVEL_CHUNK // 20 parents
+    # at a time, so the 8000 depth-3 cubes of the sponge make ceil(8000 / 819) = 10
+    # depth-4 blocks, 20000 samples come in 2 chunks, and the norm check sees
+    # one block per level
+    menger = menger_sponge()
+    group = LEVEL_CHUNK // 20
+
+    def calls(run):
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return x[0] * x[2] + x[1]
+
+        run(f)
+        assert all(len(shape) == 2 and shape[0] == 3 for shape in shapes)
+        return len(shapes), sum(shape[1] for shape in shapes)
+
+    det = QuadratureSpec(depth=4)
+    assert calls(lambda f: integrate_hausdorff(menger, f, det)) == (math.ceil(20**3 / group), 20**4)
+    chaos = QuadratureSpec(depth=4, mode="chaos_game", sample_count=20000, seed=3)
+    chaos_calls = math.ceil(20000 / LEVEL_CHUNK)
+    assert calls(lambda f: integrate_hausdorff(menger, f, chaos)) == (chaos_calls, 20000)
+    blocks = 1 + 20 + 400 + 8000
+    assert calls(lambda f: commutator_norm_check(menger, f, 3)) == (4, 8 * blocks)
+    # a scalar stands for the values of all the points
+    assert integrate_hausdorff(menger, lambda x: 1.0, chaos) == 1.0
+    assert integrate_hausdorff(menger, lambda x: 1.0, det) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_block_integrands_keep_the_per_point_values():
+    # the values the integrands gave when they were called one point at a time:
+    # the same floats, summed in the same order
+    f = lambda x: 0.9 * x[0] + 1.1 * x[1] + 0.2
+    report = weighted_factorization(cantor_dust(2), f, 8, quad_depth=1)[0]
+    assert report.value == 3.4624676194713975
+    f = lambda x: 1.1 * x[0] * x[1] + 0.3 * x[1]
+    report = commutator_norm_check(sierpinski_carpet(), f, 5)
+    assert (report.blocks, report.max_weak_ratio, report.max_sharp_ratio, report.bound_holds) == (
+        37449, 0.7067105327230043, 0.9994396200487877, True)
+
+
 def test_integrate_chaos_game_agrees():
     spec = QuadratureSpec(depth=12, mode="chaos_game", sample_count=40000, seed=11)
     det = QuadratureSpec(depth=12)
@@ -321,6 +416,13 @@ def test_integrate_deterministic_values_are_pinned():
     assert got == 0.8250000000003146
     got = integrate_hausdorff(cantor_set(), lambda x: 1.1 * x[0] + 0.4, spec(depth=10))
     assert got == 0.9500000000015539
+    # the same at the depths of the benchmark, where f meets 10 and 4 blocks of centres
+    got = integrate_hausdorff(
+        menger_sponge(), lambda x: 1.3 * x[0] + 0.7 * x[1] * x[2], spec(depth=4)
+    )
+    assert got == 0.8250000000004396
+    got = integrate_hausdorff(cantor_set(), lambda x: 1.7 * x[0] + 0.4, spec(depth=16))
+    assert got == 1.250000000003272
 
 
 @pytest.mark.parametrize(
@@ -452,7 +554,7 @@ def _norm_ratios_per_cube(ifs, f, depth):
 )
 def test_norm_check_matches_per_cube_loop(name, depth):
     ifs = preset(name)
-    f = lambda x: math.sin(2.0 * x[0]) + x[-1] ** 2
+    f = lambda x: np.sin(2.0 * x[0]) + x[-1] ** 2
     report = commutator_norm_check(ifs, f, depth)
     # the same arithmetic on every block; the batched norm may differ in the last bit
     got = [report.max_weak_ratio, report.max_sharp_ratio]
@@ -479,7 +581,7 @@ def test_norm_check_random_lipschitz(rng):
     coeffs = rng.standard_normal(3)
 
     def f(p):
-        return math.sin(coeffs[0] * p[0] + coeffs[1] * p[1]) + coeffs[2] * p[0]
+        return np.sin(coeffs[0] * p[0] + coeffs[1] * p[1]) + coeffs[2] * p[0]
 
     for name in ("cantor_dust2", "rotation"):
         report = commutator_norm_check(preset(name), f, 4)
