@@ -11,10 +11,8 @@ from fractal_dirac import (
     g_matrix,
     grading,
     oriented_edges,
-    u_matrix,
-    x_matrix,
 )
-from fractal_dirac.cube import vertex_bits
+from fractal_dirac.cube import u_matrix, vertex_bits, x_matrix
 
 np.set_printoptions(linewidth=120, suppress=True)
 

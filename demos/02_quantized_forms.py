@@ -13,10 +13,9 @@ from fractal_dirac import (
     commutator_direct,
     commutator_hadamard,
     coordinate_form,
-    coordinate_values,
-    custom_unitary_form,
     volume_element_abs,
 )
+from fractal_dirac.calculus import coordinate_values, custom_unitary_form
 
 np.set_printoptions(linewidth=120, suppress=True)
 

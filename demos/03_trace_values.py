@@ -12,11 +12,11 @@ from fractal_dirac import (
     dixmier_trace_dirac,
     preset,
     quantized_volume,
-    residue_limit_samples,
     similarity_dimension,
     zeta_closed,
     zeta_truncated,
 )
+from fractal_dirac.spectral import residue_limit_samples
 
 NAMES = [
     "cantor_set",

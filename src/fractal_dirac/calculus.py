@@ -77,11 +77,15 @@ def coordinate_form(n: int, alpha: int) -> np.ndarray:
         raise ValueError(f"axis index must satisfy 1 <= alpha <= {n}, got {alpha}")
     swap = np.array([[0, 1], [-1, 0]], dtype=np.int64)
     if alpha == n:
-        return np.kron(swap, x_matrix(n))
+        return _kron(swap, x_matrix(n))
     eps1 = np.array([[1, 0], [0, -1]], dtype=np.int64)
-    mid = np.kron(np.eye(2 ** (n - alpha - 1), dtype=np.int64), eps1)
-    top = np.kron(swap, mid)
-    return np.kron(top, x_matrix(alpha))
+    mid = _kron(np.eye(2 ** (n - alpha - 1), dtype=np.int64), eps1)
+    return _kron(_kron(swap, mid), x_matrix(alpha))
+
+
+def _kron(a, b):
+    """np.kron of two matrices, without its general-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def clifford_check(n: int) -> float:
@@ -100,22 +104,27 @@ def clifford_check(n: int) -> float:
 
 
 def matrix_abs(a: np.ndarray) -> np.ndarray:
-    """Operator absolute value sqrt(A* A).
+    """Operator absolute value sqrt(A* A) of a matrix or of each matrix of a stack (..., m, m).
 
-    A scalar fast-path returns sqrt(c) I when A* A is a scalar multiple of the
-    identity within SCALAR_TOL; otherwise a full symmetric eigendecomposition
-    is used.
+    A matrix whose A* A is a scalar multiple c I of the identity within
+    SCALAR_TOL gets sqrt(c) I; the others go to one stacked symmetric
+    eigendecomposition.
     """
     a = np.asarray(a)
-    h = a.conj().T @ a
-    m = h.shape[0]
-    c = h[0, 0].real
-    off = h - c * np.eye(m)
-    if np.max(np.abs(off)) <= SCALAR_TOL * max(1.0, abs(c)):
-        return np.sqrt(max(c, 0.0)) * np.eye(m)
-    w, vecs = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (vecs * np.sqrt(w)) @ vecs.conj().T
+    h = np.swapaxes(a.conj(), -1, -2) @ a
+    m = h.shape[-1]
+    c = h[..., 0, 0].real
+    diag = np.arange(m)
+    off = np.abs(h)  # |h - c I|: the diagonal is written below
+    off[..., diag, diag] = np.abs(h[..., diag, diag] - c[..., None])
+    scalar = off.max(axis=(-2, -1)) <= SCALAR_TOL * np.maximum(1.0, np.abs(c))
+    out = np.sqrt(np.maximum(c, 0.0))[..., None, None] * np.eye(m)
+    if not np.all(scalar):
+        w, vecs = np.linalg.eigh(h[~scalar])
+        w = np.clip(w, 0.0, None)
+        out = out.astype(h.dtype)
+        out[~scalar] = (vecs * np.sqrt(w)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return out
 
 
 def volume_element_abs(n: int, edge_length: float = 1.0) -> np.ndarray:
@@ -128,35 +137,38 @@ def volume_element_abs(n: int, edge_length: float = 1.0) -> np.ndarray:
 
 
 def _check_orthogonal(t):
+    """t as floats, if it is an orthogonal matrix or a stack (..., n, n) of them."""
     t = np.asarray(t, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+    if t.ndim < 2 or t.shape[-2] != t.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {t.shape}")
-    dev = np.max(np.abs(t.T @ t - np.eye(t.shape[0])))
-    if dev > ORTHOGONALITY_TOL:
+    n = t.shape[-1]
+    u = np.moveaxis(t.reshape(-1, n, n), 0, -1).copy()  # T^T T - I with the stack axis innermost:
+    gram = (u[:, :, None] * u[:, None]).sum(axis=0)  # a stack of tiny matmuls is slower
+    dev = np.max(np.abs(gram - np.eye(n)[..., None]), initial=0.0)
+    if not dev <= ORTHOGONALITY_TOL:  # NaN fails too
         raise ValueError(f"matrix is not orthogonal within {ORTHOGONALITY_TOL:g} (deviation {dev:.3g})")
     return t
 
 
 def placed_coordinate_form(cube, alpha: int) -> np.ndarray:
-    """Coordinate commutator block on one placed cube (an ifs.PlacedCube).
+    """Coordinate commutator block on a placed cube (an ifs.PlacedCube).
 
     For a cube with orthogonal part T and edge e_w this is
-    (e_w / sqrt(n)) sum_j T[alpha, j] times the j-th coordinate one-form.
-    A cube whose transform is not an orthogonal n x n matrix, or whose edge
-    is not positive, is rejected.
+    (e_w / sqrt(n)) sum_j T[alpha, j] times the j-th coordinate one-form; a
+    block of cubes gives one such matrix per row.  A transform that is not
+    orthogonal n x n, or an edge that is not positive, is rejected.
     """
     n = cube.n
     if not 1 <= alpha <= n:
         raise ValueError(f"axis index must satisfy 1 <= alpha <= {n}, got {alpha}")
     t = _check_orthogonal(cube.transform)
-    if t.shape != (n, n) or not cube.e_w > 0:
+    e = np.asarray(cube.e_w, dtype=float)
+    if t.shape != e.shape + (n, n) or not np.all(e > 0):
         raise ValueError(f"expected an {n} x {n} transform and a positive edge")
-    row = t[alpha - 1]
-    acc = np.zeros((2**n, 2**n))
-    for j in range(1, n + 1):
-        if row[j - 1] != 0.0:
-            acc = acc + row[j - 1] * coordinate_form(n, j)
-    return (cube.e_w / np.sqrt(n)) * acc
+    forms = np.array([coordinate_form(n, j) for j in range(1, n + 1)], dtype=float)
+    acc = (t[..., alpha - 1, :] @ forms.reshape(n, -1)).reshape(e.shape + forms.shape[1:])
+    acc *= (e / np.sqrt(n))[..., None, None]
+    return acc
 
 
 def custom_unitary_form(u: np.ndarray, values) -> np.ndarray:
@@ -166,7 +178,7 @@ def custom_unitary_form(u: np.ndarray, values) -> np.ndarray:
     if u.shape != (m, m):
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     dev = np.max(np.abs(u @ u.conj().T - np.eye(m)))
-    if dev > ORTHOGONALITY_TOL:
+    if not dev <= ORTHOGONALITY_TOL:
         raise ValueError(f"matrix is not unitary within {ORTHOGONALITY_TOL:g} (deviation {dev:.3g})")
     n = int(np.log2(m)) + 1
     if 2 ** (n - 1) != m:

@@ -122,6 +122,9 @@ def function_from_expression(expr: str, n: int):
 
 
 def _emit(doc, args) -> None:
+    for key, value in sorted(_flatten(doc).items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"document key {key!r} holds {value}, not a finite number")
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:

@@ -51,11 +51,11 @@ class Similitude:
             raise ValueError(f"similarity ratio must lie in (0, 1), got {self.ratio}")
         t = _check_orthogonal(self.matrix)
         b = np.asarray(self.translation, dtype=float)
-        n = t.shape[0]
-        if b.shape != (n,):
-            raise ValueError("translation length does not match matrix dimension")
+        n = t.shape[-1]
+        if t.shape != (n, n) or b.shape != (n,):
+            raise ValueError("expected an n x n matrix and a translation of length n")
         image = b + self.ratio * (vertex_bits(n) @ t.T)
-        if image.min() < -CONTAINMENT_TOL or image.max() > 1.0 + CONTAINMENT_TOL:
+        if not (image.min() >= -CONTAINMENT_TOL and image.max() <= 1.0 + CONTAINMENT_TOL):
             raise ValueError("similitude image is not contained in the unit cube")
         object.__setattr__(self, "matrix", t)
         object.__setattr__(self, "translation", b)

@@ -41,8 +41,8 @@ class Box:
         hc = np.asarray(self.hi_closed, dtype=bool)
         if not (lo.shape == hi.shape == lc.shape == hc.shape) or lo.ndim != 1:
             raise ValueError("box fields must be flat arrays of one common length")
-        if np.any(lo > hi):
-            raise ValueError("box lower bounds exceed upper bounds")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
+            raise ValueError("box bounds must be finite, lower bounds at most upper bounds")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "lo_closed", lc)
@@ -72,6 +72,8 @@ class ProjectionSpec:
     def __post_init__(self):
         if len(self.regions) == 0:
             raise ValueError("a projection needs at least one region")
+        if len({box.lo.shape for box in self.regions}) != 1:
+            raise ValueError("all regions of a projection must have one dimension")
         object.__setattr__(self, "regions", tuple(self.regions))
 
     @property
@@ -179,6 +181,11 @@ def index_pairing(
         budget = default_budget()
     if depth + 1 > budget:  # before the per-depth table below
         raise BudgetExceededError(f"index pairing to depth {depth} exceeds the budget of {budget}")
+    edge = float(np.min(ifs.ratios)) ** depth
+    width = min(float(np.min(box.hi - box.lo)) for box in proj.regions)
+    if min(edge, width) <= 2 * MEMBERSHIP_TOL:  # one face's band would reach the next vertex
+        raise ValueError(f"membership is not decided at scale {min(edge, width):.3g} (smallest "
+                         f"edge at depth {depth} or narrowest region), at most 2 MEMBERSHIP_TOL")
     increments = [0] * (depth + 1)
     visited = 0
     # no word budget for the engine: pruning visits fewer cubes, counted here

@@ -149,6 +149,8 @@ def preset(name: str) -> IfsSystem:
             theta = float(key.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad rotation angle in preset name {name!r}") from exc
+        if not np.isfinite(theta):
+            raise ValueError(f"rotation angle must be finite, got {name!r}")
         return rotation(theta)
     if key.startswith("sc"):
         return sc(_parse_int(key, "sc"))

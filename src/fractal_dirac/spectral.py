@@ -15,7 +15,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .calculus import SCALAR_TOL, coordinate_form, matrix_abs, placed_coordinate_form
+from .calculus import matrix_abs, placed_coordinate_form
 from .cube import g_matrix
 from .errors import BudgetExceededError, DivergenceError
 from .ifs import (
@@ -216,39 +216,26 @@ def quantized_volume_truncated(
 ) -> TraceReport:
     """Partial volume-trace sum built from actual per-word operator blocks.
 
-    For every word the ordered product P of placed coordinate commutators is
-    formed, a whole iter_levels block at a time, and its operator absolute
-    value must be scalar within BLOCK_TOL; the scalars feed the sum.  A row
-    whose P^T P is not scalar within SCALAR_TOL goes through matrix_abs alone.
+    For every word the operator absolute value of the ordered product of
+    placed coordinate commutators is formed, a whole iter_levels block at a
+    time, and must be scalar within BLOCK_TOL; the scalars feed the sum.
     This exercises the matrix route rather than the closed scalar shortcut.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dim = similarity_dimension(ifs)
     n = ifs.n
-    diag = np.arange(2**n)
     total = 0.0
     for block in iter_levels(ifs, depth, budget=budget):
-        prod = None
-        for alpha in range(n):  # placed_coordinate_form of every row at once
-            form = np.zeros((block.e_w.size, 2**n, 2**n))
-            for j in range(n):
-                form += block.transform[:, alpha, j, None, None] * coordinate_form(n, j + 1)
-            form *= (block.e_w / np.sqrt(n))[:, None, None]
-            prod = form if prod is None else np.matmul(prod, form)
-        h = np.matmul(np.swapaxes(prod, 1, 2), prod)  # matrix_abs's scalar test, every row at once
-        c = h[:, 0, 0].copy()
-        h[:, diag, diag] -= c[:, None]
-        scalar = np.abs(h, out=h).max(axis=(1, 2)) <= SCALAR_TOL * np.maximum(1.0, np.abs(c))
-        for i, scal in enumerate(np.sqrt(np.maximum(c, 0.0)).tolist()):
-            if not scalar[i]:
-                block_abs = matrix_abs(prod[i])
-                scal = float(block_abs[0, 0])
-                dev = float(np.max(np.abs(block_abs - scal * np.eye(2**n))))
-                if dev > BLOCK_TOL * max(1.0, block.e_w[i]**n / n ** (n / 2.0)):
-                    raise AssertionError(f"volume block at word {block.words[i].tolist()} "
-                                         f"is not scalar within {BLOCK_TOL:g}")
-            total += 2**n * scal**p
+        block_abs = _volume_block(block)
+        scal = block_abs[:, 0, 0]
+        dev = np.abs(block_abs - scal[:, None, None] * np.eye(2**n)).max(axis=(1, 2))
+        off = np.flatnonzero(dev > BLOCK_TOL * np.maximum(1.0, block.e_w**n / n ** (n / 2.0)))
+        if off.size:
+            raise AssertionError(f"volume block at word {block.words[off[0]].tolist()} "
+                                 f"is not scalar within {BLOCK_TOL:g}")
+        for s in scal.tolist():
+            total += 2**n * s**p
     c = _ratio_power_sum(ifs, n * p)
     bound = None
     if c < 1.0:
@@ -259,9 +246,10 @@ def quantized_volume_truncated(
 
 
 def _volume_block(cube):
-    """Operator absolute value of the ordered product of the placed coordinate forms."""
-    prod = np.eye(2**cube.n)
-    for alpha in range(1, cube.n + 1):
+    """Operator absolute value of the ordered product of the placed coordinate
+    forms: one matrix for a single cube, one per row for a block."""
+    prod = placed_coordinate_form(cube, 1)
+    for alpha in range(2, cube.n + 1):
         prod = prod @ placed_coordinate_form(cube, alpha)
     return matrix_abs(prod)
 
@@ -409,42 +397,43 @@ def eigenvalue_counting(ifs: IfsSystem, depth: int, lam: float) -> int:
     """
     if lam <= 0:
         raise ValueError("threshold must be positive")
+    return _counting(_ratio_classes(ifs, depth), ifs.n, lam)
+
+
+def _ratio_classes(ifs, depth):
+    """(log e_w, number of words) of each multiset of ratios over words of length <= depth.
+
+    A multiset is the composition c of the word length over the distinct
+    ratios; the words of composition c number sum_i words(c - e_i) * mult_i,
+    with mult_i the maps of the i-th ratio, as exact ints.
+    """
     uniq, mult = np.unique(ifs.ratios, return_counts=True)
     logs = np.log(uniq)
+    level = {(0,) * uniq.size: 1}
+    classes = []
+    for _ in range(depth + 1):
+        classes += [(float(np.dot(combo, logs)), words) for combo, words in level.items()]
+        longer = {}
+        for combo, words in level.items():
+            for i, m in enumerate(mult.tolist()):
+                key = combo[:i] + (combo[i] + 1,) + combo[i + 1:]
+                longer[key] = longer.get(key, 0) + words * m
+        level = longer
+    return classes
+
+
+def _counting(classes, n, lam):
     log_lam = math.log(lam)
     slack = 1e-9 * (1.0 + abs(log_lam))
-    count = 0
-    for j in range(depth + 1):
-        for combo in _compositions(j, len(uniq)):
-            log_e = float(np.dot(combo, logs))
-            if -log_e <= log_lam + slack:
-                count += _multinomial(j, combo) * int(
-                    np.prod([int(m) ** k for m, k in zip(mult, combo)])
-                )
-    return 2**ifs.n * count
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _multinomial(total, combo):
-    out = math.factorial(total)
-    for k in combo:
-        out //= math.factorial(k)
-    return out
+    return 2**n * sum(words for log_e, words in classes if -log_e <= log_lam + slack)
 
 
 def spectral_dimension_slope(ifs: IfsSystem, depth: int = 10):
     """Least-squares slope of log counting function against log threshold."""
+    classes = _ratio_classes(ifs, depth)
     ks = range(SLOPE_K_MIN, depth + 1)
     xs = np.array([k * math.log(SLOPE_BASE) for k in ks])
-    ys = np.array([math.log(eigenvalue_counting(ifs, depth, SLOPE_BASE**k)) for k in ks])
+    ys = np.array([math.log(_counting(classes, ifs.n, SLOPE_BASE**k)) for k in ks])
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 import conftest
 from fractal_dirac import (
-    abs_volume_block_deviation,
     cantor_dust,
     cantor_set,
     clifford_check,
@@ -31,18 +30,22 @@ from fractal_dirac import (
     preset,
     quantized_volume,
     quantized_volume_truncated,
-    residue_limit_samples,
     rotation,
     similarity_dimension,
     spectral_dimension_slope,
-    u_matrix,
     volume_element_abs,
-    volume_residue_samples,
     weighted_factorization,
     zeta_closed,
     zeta_truncated,
 )
-from fractal_dirac.spectral import QuadratureSpec, integrate_hausdorff
+from fractal_dirac.cube import u_matrix
+from fractal_dirac.spectral import (
+    QuadratureSpec,
+    abs_volume_block_deviation,
+    integrate_hausdorff,
+    residue_limit_samples,
+    volume_residue_samples,
+)
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)

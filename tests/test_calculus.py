@@ -9,14 +9,17 @@ from fractal_dirac import (
     commutator_direct,
     commutator_hadamard,
     coordinate_form,
+    preset,
+    volume_element_abs,
+)
+from fractal_dirac.calculus import (
     coordinate_values,
     custom_unitary_form,
     matrix_abs,
     placed_coordinate_form,
-    u_matrix,
-    volume_element_abs,
 )
-from fractal_dirac.cube import g_matrix, vertex_bits
+from fractal_dirac.cube import g_matrix, u_matrix, vertex_bits
+from fractal_dirac.ifs import iter_levels
 
 from conftest import random_orthogonal
 
@@ -218,6 +221,24 @@ def test_placed_volume_block_is_scalar(rng, n):
         np.testing.assert_allclose(matrix_abs(prod), expected * np.eye(2**n), atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["rotation:0.7", "menger_sponge"])
+def test_block_forms_and_abs_equal_their_single_cube_rows(rng, name):
+    block = list(iter_levels(preset(name), 2))[-1]
+    n, m = block.n, 2**block.n
+    forms = [placed_coordinate_form(block, alpha) for alpha in range(1, n + 1)]
+    for i in range(block.e_w.size):
+        for alpha in range(1, n + 1):
+            assert np.array_equal(forms[alpha - 1][i], placed_coordinate_form(block.rows(i), alpha))
+    prods = forms[0]
+    for form in forms[1:]:
+        prods = prods @ form
+    prods[1] = rng.standard_normal((m, m))  # a row that misses the scalar test: eigh
+    stacked = matrix_abs(prods)
+    assert not np.allclose(stacked[1], stacked[1, 0, 0] * np.eye(m))
+    for i in range(block.e_w.size):
+        assert np.array_equal(stacked[i], matrix_abs(prods[i]))
+
+
 def test_commutator_norm_scales_linearly_with_edge():
     norms = []
     for e in (1.0, 0.5, 0.25):
@@ -256,8 +277,9 @@ def test_identity_unitary_coordinate_cancellation_reason():
 
 
 def test_non_unitary_rejected():
-    with pytest.raises(ValueError):
-        custom_unitary_form(np.array([[1.0, 0.0], [0.0, 2.0]]), np.zeros(4))
+    for u in ([[1.0, 0.0], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            custom_unitary_form(np.array(u), np.zeros(4))
     sheared = _placed(1.0, np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         placed_coordinate_form(sheared, 1)

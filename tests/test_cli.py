@@ -402,6 +402,12 @@ def test_verify_takes_only_max_n(capsys, tmp_path, monkeypatch):
         ["analyze", "--preset", "cantor_set", "--budget", "-1"],
         ["verify", "--max-n", "0"],
         ["verify", "--max-n", "-3"],
+        ["analyze", "--preset", "rotation:nan", "--depth", "2"],
+        ["analyze", "--preset", "rotation:inf", "--depth", "2"],
+        ["pairing", "--preset", "cantor_set", "--pk", "26", "--depth", "29"],
+        ["integrate", "--preset", "cantor_set", "--function", "1e308*10"],
+        ["integrate", "--preset", "cantor_set", "--function", "1e308*10", "--format", "csv"],
+        ["integrate", "--preset", "cantor_set", "--function", "0 - 1e308*10", "--format", "text"],
     ],
 )
 def test_usage_errors_are_json_invalid_input(capsys, argv):
@@ -411,6 +417,41 @@ def test_usage_errors_are_json_invalid_input(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "invalid-input"
+
+
+NAN_SYSTEM = {"n": 1, "maps": [{"ratio": 0.5, "matrix": [1.0], "translation": [float("nan")]},
+                               {"ratio": 0.5, "matrix": [1.0], "translation": [0.5]}]}
+CARPET = ["pairing", "--preset", "sierpinski_carpet"]
+
+
+@pytest.mark.parametrize("argv,system,regions", [
+    (["analyze"], NAN_SYSTEM, None),  # a NaN translation
+    (["integrate", "--override-osc"], NAN_SYSTEM, None),
+    (CARPET, None, [([0.0, 0.0], [0.5, 0.5]), ([0.0], [0.5])]),  # a 2-D and a 1-D box
+    (CARPET, None, [([float("nan"), 0.0], [0.5, 0.5])]),  # a NaN face
+])
+def test_non_finite_or_mismatched_files_are_invalid_input(capsys, tmp_path, argv, system, regions):
+    if system is not None:
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        argv = argv + ["--file", str(tmp_path / "system.json")]
+    if regions is not None:
+        (tmp_path / "proj.json").write_text(json.dumps({"regions": [
+            {"lo": lo, "hi": hi, "lo_closed": [True] * len(lo), "hi_closed": [True] * len(lo)}
+            for lo, hi in regions]}))
+        argv = argv + ["--proj", str(tmp_path / "proj.json")]
+    code, out, err = run_cli(capsys, *argv, "--depth", "2")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "invalid-input"
+
+
+def test_non_finite_document_value_is_refused_by_key(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--preset", "cantor_set",
+                             "--function", "1e308*10")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "document key 'value' holds inf, not a finite number"
 
 
 def test_usage_error_process_contract():

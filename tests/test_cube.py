@@ -7,10 +7,8 @@ from fractal_dirac import (
     g_matrix,
     grading,
     oriented_edges,
-    u_matrix,
-    x_matrix,
 )
-from fractal_dirac.cube import oriented_edge_set, vertex_bits
+from fractal_dirac.cube import oriented_edge_set, u_matrix, vertex_bits, x_matrix
 
 G2 = np.array([[1, -1], [1, 1]])
 G3 = np.array([[1, -1, 0, -1], [1, 1, -1, 0], [0, 1, 1, -1], [1, 0, 1, 1]])

@@ -13,10 +13,8 @@ from fractal_dirac import (
     cantor_set,
     compose,
     iter_placed,
-    lifted_carpet,
     load_ifs,
     menger_sponge,
-    non_osc,
     preset,
     rotation,
     save_ifs,
@@ -27,7 +25,7 @@ from fractal_dirac import (
 from fractal_dirac import ifs as ifs_mod
 from fractal_dirac.cube import vertex_bits
 from fractal_dirac.ifs import PlacedCube, iter_levels, word_count
-from fractal_dirac.presets import carpet_index_set
+from fractal_dirac.presets import carpet_index_set, lifted_carpet, non_osc
 
 
 def test_compose_empty_word_is_identity():
@@ -287,6 +285,9 @@ def test_preset_parser_errors():
         preset("cantor_dustX")
     with pytest.raises(ValueError):
         preset("rotation:abc")
+    for angle in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="finite"):
+            preset(f"rotation:{angle}")
 
 
 def test_similitude_validation():
@@ -297,6 +298,12 @@ def test_similitude_validation():
         Similitude(ratio=0.5, matrix=np.array([[1.0, 0.3], [0.0, 1.0]]), translation=np.zeros(2))
     with pytest.raises(ValueError):  # image escapes the unit cube
         Similitude(ratio=0.5, matrix=eye, translation=np.array([0.9, 0.0]))
+    with pytest.raises(ValueError, match="contained"):  # NaN fails the containment test
+        Similitude(ratio=0.5, matrix=eye, translation=np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="orthogonal"):
+        Similitude(ratio=0.5, matrix=np.array([[np.nan, 0.0], [0.0, 1.0]]), translation=np.zeros(2))
+    with pytest.raises(ValueError, match="n x n"):  # a stack of matrices is not one map
+        Similitude(ratio=0.5, matrix=np.stack([eye, eye]), translation=np.zeros(2))
     with pytest.raises(ValueError):
         IfsSystem(n=2, maps=())
 

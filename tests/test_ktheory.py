@@ -19,8 +19,8 @@ from fractal_dirac import (
     nonvanish_certificate,
     preset,
     save_projection,
-    u_matrix,
 )
+from fractal_dirac.cube import u_matrix
 
 
 def test_box_membership_flags():
@@ -39,8 +39,13 @@ def test_box_membership_flags():
 def test_box_validation():
     with pytest.raises(ValueError):
         closed_box([1.0], [0.0])
+    for lo in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            closed_box(lo, [np.inf, 0.5])
     with pytest.raises(ValueError):
         ProjectionSpec(regions=())
+    with pytest.raises(ValueError, match="one dimension"):
+        ProjectionSpec(regions=(closed_box([0.0, 0.0], [0.5, 0.5]), closed_box([0.0], [0.5])))
 
 
 def test_projection_json_round_trip(tmp_path):
@@ -63,13 +68,23 @@ def test_projection_json_round_trip(tmp_path):
         ProjectionSpec.from_json_dict({"bad": []})
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 22))  # depth k + 3 <= 24: 3^-24 > 2 MEMBERSHIP_TOL
 def test_interval_pairings(k):
     report = index_pairing(cantor_set(), interval_projection(k), k + 3)
     assert report.value == k
     assert report.stabilized
     assert all(isinstance(v, int) for v in report.per_depth)
     assert report.per_depth[-1] == k
+
+
+@pytest.mark.parametrize("proj,depth", [
+    (interval_projection(22), 25),  # 3^-25 is below 2 MEMBERSHIP_TOL
+    (interval_projection(26), 29),  # used to print 25 as stabilized
+    (ProjectionSpec((closed_box([0.5], [0.5]),)), 3),  # a region of zero width
+])
+def test_pairing_below_the_membership_resolution_is_refused(proj, depth):
+    with pytest.raises(ValueError, match="membership is not decided"):
+        index_pairing(cantor_set(), proj, depth)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -9,7 +9,6 @@ from fractal_dirac import (
     DivergenceError,
     IfsSystem,
     QuadratureSpec,
-    abs_volume_block_deviation,
     cantor_dust,
     cantor_set,
     commutator_norm_check,
@@ -19,16 +18,13 @@ from fractal_dirac import (
     integrate_hausdorff,
     iter_placed,
     menger_sponge,
-    non_osc,
     preset,
     quantized_volume,
     quantized_volume_truncated,
-    residue_limit_samples,
     rotation,
     sierpinski_carpet,
     similarity_dimension,
     spectral_dimension_slope,
-    volume_residue_samples,
     weighted_factorization,
     weighted_functional,
     zeta_closed,
@@ -36,7 +32,13 @@ from fractal_dirac import (
 )
 from fractal_dirac import calculus, spectral
 from fractal_dirac.ifs import LEVEL_CHUNK, iter_levels
-from fractal_dirac.spectral import _residue_limit, _volume_block
+from fractal_dirac.presets import non_osc
+from fractal_dirac.spectral import (
+    _residue_limit,
+    abs_volume_block_deviation,
+    residue_limit_samples,
+    volume_residue_samples,
+)
 
 LOG2 = math.log(2.0)
 
@@ -272,10 +274,18 @@ def test_rotation_volume_blocks_scalar_to_depth_4():
 
 
 def _volume_per_cube(ifs, p, depth):
-    """One dense block at a time over iter_placed: the reference for the batched products."""
+    """One dense block at a time over iter_placed, the forms summed from
+    calculus.coordinate_form here: the reference for the batched products."""
+    n = ifs.n
     total = 0.0
     for cube in iter_placed(ifs, depth):
-        total += 2**ifs.n * float(_volume_block(cube)[0, 0]) ** p
+        prod = np.eye(2**n)
+        for alpha in range(n):
+            form = sum(cube.transform[alpha, j] * calculus.coordinate_form(n, j + 1)
+                       for j in range(n))
+            prod = prod @ (cube.e_w / np.sqrt(n) * form)
+        w, vecs = np.linalg.eigh(prod.T @ prod)
+        total += 2**n * float(((vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T)[0, 0]) ** p
     return total
 
 
@@ -290,8 +300,8 @@ def test_quantized_volume_matches_per_cube_blocks(name, depth):
 
 
 def _stretch_first_form(monkeypatch, delta):
-    # the first coordinate form times diag(1, 1 + delta, ...), in both routes:
-    # P^T P is then e^2 diag(1, (1 + delta)^2, ...), scalar only within 2 delta e^2
+    # the first coordinate form times diag(1, 1 + delta, ...): P^T P is then
+    # e^2 diag(1, (1 + delta)^2, ...), scalar only within 2 delta e^2
     exact = calculus.coordinate_form
 
     def form(n, alpha):
@@ -299,7 +309,6 @@ def _stretch_first_form(monkeypatch, delta):
         return f @ np.diag(1.0 + delta * (np.arange(2**n) > 0)) if alpha == 1 else f
 
     monkeypatch.setattr(calculus, "coordinate_form", form)
-    monkeypatch.setattr(spectral, "coordinate_form", form)
 
 
 def test_volume_rows_off_the_scalar_test_go_through_matrix_abs(monkeypatch):
@@ -307,10 +316,10 @@ def test_volume_rows_off_the_scalar_test_go_through_matrix_abs(monkeypatch):
     # its |P| deviates by 1e-10, within BLOCK_TOL, so it is accepted
     _stretch_first_form(monkeypatch, 1e-10)
     cs = cantor_set()
-    exact_abs, rows = spectral.matrix_abs, []
-    monkeypatch.setattr(spectral, "matrix_abs", lambda a: rows.append(a) or exact_abs(a))
+    exact_eigh, stacks = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: stacks.append(h.shape) or exact_eigh(h))
     got = quantized_volume_truncated(cs, 0.7, 3).value
-    assert len(rows) == 1
+    assert stacks == [(1, 2, 2)]
     assert got == _volume_per_cube(cs, 0.7, 3)
 
 
