@@ -430,6 +430,8 @@ def _counting(classes, n, lam):
 
 def spectral_dimension_slope(ifs: IfsSystem, depth: int = 10):
     """Least-squares slope of log counting function against log threshold."""
+    if depth < SLOPE_K_MIN + 1:  # the fit needs two thresholds
+        raise ValueError(f"depth must be at least {SLOPE_K_MIN + 1}, got {depth}")
     classes = _ratio_classes(ifs, depth)
     ks = range(SLOPE_K_MIN, depth + 1)
     xs = np.array([k * math.log(SLOPE_BASE) for k in ks])

@@ -13,12 +13,14 @@ from fractal_dirac import (
     volume_element_abs,
 )
 from fractal_dirac.calculus import (
+    _clifford_residual,
+    _coordinate_perm,
     coordinate_values,
     custom_unitary_form,
     matrix_abs,
     placed_coordinate_form,
 )
-from fractal_dirac.cube import g_matrix, u_matrix, vertex_bits
+from fractal_dirac.cube import g_matrix, u_matrix, vertex_bits, x_matrix
 from fractal_dirac.ifs import iter_levels
 
 from conftest import random_orthogonal
@@ -105,8 +107,67 @@ def test_entry_locality(rng):
 
 def test_clifford_small():
     assert clifford_check(1) == 0.0
-    assert clifford_check(3) <= 1e-12
-    assert clifford_check(5) <= 1e-12
+    assert clifford_check(3) == 0.0
+    assert clifford_check(5) == 0.0
+
+
+def _kron_form(n, alpha):
+    """The coordinate one-form as np.kron of its dense factors: swap, identity, eps1, x_matrix."""
+    swap = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+    if alpha == n:
+        return np.kron(swap, x_matrix(n))
+    eps1 = np.array([[1, 0], [0, -1]], dtype=np.int64)
+    mid = np.kron(np.eye(2 ** (n - alpha - 1), dtype=np.int64), eps1)
+    return np.kron(np.kron(swap, mid), x_matrix(alpha))
+
+
+def _dense_anticommutator_residual(forms):
+    forms = [f.astype(float) for f in forms]
+    eye = np.eye(forms[0].shape[0])
+    worst = 0.0
+    for a in range(len(forms)):
+        for b in range(a, len(forms)):
+            anti = forms[a] @ forms[b] + forms[b] @ forms[a]
+            if a == b:
+                anti = anti + 2.0 * eye
+            worst = max(worst, float(np.max(np.abs(anti))))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_coordinate_form_equals_kron_of_its_factors(n):
+    for alpha in range(1, n + 1):
+        form, oracle = coordinate_form(n, alpha), _kron_form(n, alpha)
+        assert form.dtype == oracle.dtype
+        assert np.array_equal(form, oracle)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_clifford_check_equals_dense_residual(n):
+    forms = [_kron_form(n, alpha) for alpha in range(1, n + 1)]
+    assert clifford_check(n) == _dense_anticommutator_residual(forms) == 0.0
+
+
+def _scatter(perm, sign):
+    m = perm.size
+    out = np.zeros((m, m), dtype=np.int64)
+    out[np.arange(m), perm] = sign
+    return out
+
+
+@pytest.mark.parametrize("corrupt", ["flip_sign", "swap_columns"])
+def test_clifford_residual_of_a_corrupted_form_equals_dense(corrupt):
+    n = 4
+    pairs = [_coordinate_perm(n, alpha) for alpha in range(1, n + 1)]
+    perm = np.array([p for p, _ in pairs])
+    sign = np.array([s for _, s in pairs])
+    if corrupt == "flip_sign":
+        sign[1, 5] = -sign[1, 5]
+    else:
+        perm[2, [3, 10]] = perm[2, [10, 3]]
+    residual = _clifford_residual(perm, sign)
+    assert residual > 0.0
+    assert residual == _dense_anticommutator_residual([_scatter(p, s) for p, s in zip(perm, sign)])
 
 
 def test_volume_element_values():
@@ -295,7 +356,8 @@ def test_argument_errors():
     with pytest.raises(ValueError):
         coordinate_form(3, 0)
     with pytest.raises(CapacityError):
-        clifford_check(11)
+        clifford_check(13)
+    assert clifford_check(12) == 0.0
     with pytest.raises(CapacityError):
         volume_element_abs(11)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from fractal_dirac import cli, cube, ktheory
+from fractal_dirac import _verify, cli, cube, ktheory
 from fractal_dirac.cli import POW_MAX_BITS, _power, function_from_expression, main
 
 
@@ -189,6 +189,44 @@ def test_verify_fault_injection(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "5")
     assert code == 1
     assert "FAIL unitarity" in out
+
+
+def test_involution_check_reports_the_dense_residual(monkeypatch):
+    # the suite forms f eps + eps f entrywise; the residual it reports must be the
+    # float of the dense products.  A diagonal perturbation makes f not odd, and
+    # f eps + eps f (2 D on the diagonal) the largest of the three residuals.
+    rng = np.random.default_rng(3)
+    forms = {n: cube.f_matrix(n) + np.diag(1e-3 * rng.standard_normal(2**n)) for n in range(1, 9)}
+    monkeypatch.setattr(cube, "f_matrix", forms.__getitem__)
+    reported = []
+    result = _verify._result
+
+    def capture(name, value, *rest):
+        reported.append(value)
+        return result(name, value, *rest)
+
+    monkeypatch.setattr(_verify, "_result", capture)
+    _verify.check_involution(max_n=8)
+    dense = []
+    for n, f in forms.items():
+        eps = cube.grading(n)
+        dense += [np.max(np.abs(f @ f - np.eye(2**n))), np.max(np.abs(f - f.T)),
+                  np.max(np.abs(f @ eps + eps @ f))]
+    assert reported == [float(max(dense))] == [float(max(dense[2::3]))]
+
+
+def test_import_builds_no_operator_tables():
+    # the cube and form tables are built on first use, never while the CLI imports
+    script = "\n".join([
+        "import fractal_dirac.cli",
+        "from fractal_dirac import calculus, cube",
+        "caches = [cube.vertex_bits, cube.x_matrix, cube.g_matrix, cube.oriented_edge_set,",
+        "          calculus._coordinate_perm]",
+        "print([c.cache_info().currsize for c in caches])",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0, 0, 0]
 
 
 def test_pairing_command(capsys):

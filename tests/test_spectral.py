@@ -537,6 +537,18 @@ def test_spectral_dimension_slopes():
     assert abs(spectral_dimension_slope(carpet, 10) - similarity_dimension(carpet)) <= 0.05
 
 
+def test_spectral_dimension_slope_needs_two_thresholds():
+    cs = cantor_set()
+    for depth in range(spectral.SLOPE_K_MIN + 1):
+        with pytest.raises(ValueError, match="depth must be at least 4"):
+            spectral_dimension_slope(cs, depth)
+    # pinned least-squares slopes at the shallowest accepted depth and at 10
+    assert spectral_dimension_slope(cs, 4) == 0.6607763365390872
+    assert spectral_dimension_slope(cs, 10) == 0.637946380137816
+    assert spectral_dimension_slope(non_osc(), 4) == 0.9701910139108624
+    assert spectral_dimension_slope(non_osc(), 10) == 1.4312623746258122
+
+
 def test_norm_check_constant_function():
     report = commutator_norm_check(cantor_set(), lambda p: 2.0, 4)
     assert report.bound_holds
