@@ -280,7 +280,9 @@ def to_json_dict(ifs: IfsSystem) -> dict:
 def from_json_dict(doc: dict) -> IfsSystem:
     """Build and validate an IFS from its JSON document form."""
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        if type(n) is not int:  # a JSON integer: no float, string or bool
+            raise TypeError(f"n must be an integer, got {n!r}")
         label = str(doc.get("label", "custom"))
         if n < 1:
             raise ValueError(f"IFS dimension must be >= 1, got {n}")

@@ -1,11 +1,13 @@
 """Zeta functions, Dixmier traces, quantized volumes, and quadrature.
 
-The operator under study scales each word block by the reciprocal composed
-ratio, so its trace powers reduce to geometric series over the per-level
-ratio sums.  Closed formulas are primary; truncated word sums and sampled
-residue limits provide independent verification paths.  The Hausdorff
-probability measure is realized by the self-similar weights ratio^dim, which
-is exact for systems satisfying the open set condition.
+Both traced operators have a block spectrum: word w carries 2^n singular
+values n^(-h t) e_w^t at t = q p, with (h, q) = (0, 1) for |D|^-1 and
+(1/2, n) for the volume form |[F,x_1]...[F,x_n]|, whose block is
+e_w^n / n^(n/2).  Their closed sums, tails and critical residues are
+geometric in the per-level ratio sum c = sum_i r_i^t and written once
+(_closed, _tail, _critical); word sums and sampled residue limits are the
+independent routes.  The self-similar weights ratio^dim realize the
+Hausdorff probability measure under the open set condition.
 """
 
 import math
@@ -39,10 +41,7 @@ SLOPE_K_MIN = 3
 class TraceReport:
     """One numerical trace-type quantity with its truncation metadata."""
 
-    quantity: str
-    p: float
     value: float
-    dim_s: float
     depth: int | None = None
     error_bound: float | None = None
 
@@ -65,21 +64,64 @@ class QuadratureSpec:
             raise ValueError("sample_count must be positive")
 
 
-def _ratio_power_sum(ifs, p):
-    return float(np.sum(ifs.ratios ** p))
+def _check_exponent(p):
+    """NaN makes every range check false, so it is refused before any sum or sweep."""
+    if math.isnan(p):
+        raise ValueError("exponent must be a number, got nan")
+
+
+def _ratio_power_sum(ifs, t):
+    _check_exponent(t)
+    return float(np.sum(ifs.ratios ** t))
+
+
+def _scale(n, h, t):
+    """Multiplicity times level-free factor, 2^n n^(-h t); h = 0 keeps 2^n at t = inf."""
+    return 2**n / (n ** (h * t) if h else 1)
+
+
+def _closed(ifs, h, t):
+    """Closed geometric sum of the block spectrum at t."""
+    c = _ratio_power_sum(ifs, t)
+    if c >= 1.0:
+        raise DivergenceError(
+            f"trace diverges at t={t}: per-level ratio sum {c:.6g} >= 1 (needs t > dim_s)")
+    return _scale(ifs.n, h, t) / (1.0 - c)
+
+
+def _tail(ifs, h, t, depth):
+    """Geometric tail of the block spectrum beyond words of length depth; None if divergent."""
+    c = _ratio_power_sum(ifs, t)
+    if c >= 1.0:
+        return None
+    return _scale(ifs.n, h, t) * c ** (depth + 1) / (1.0 - c)
+
+
+def _critical(ifs, h, q, p):
+    """Dixmier trace of the block spectrum: its residue at p = dim_s / q, 0.0 above it.
+
+    Connes' normalization: the residue lim_{z->1+} (z - 1) Tr(T^z), equal to the
+    log-average of the singular values, n^(-h dim_s) 2^n over the log-weighted
+    ratio sum.  Below dim_s / q the trace diverges.
+    """
+    _check_exponent(p)
+    dim = similarity_dimension(ifs)
+    crit = dim / q
+    if p < crit - PRE_TOL:
+        raise DivergenceError(f"exponent p={p} below the critical value {crit:.12g}")
+    if abs(p - crit) > EQUALITY_TOL:
+        return 0.0
+    ratios = ifs.ratios
+    slope = -dim * float(np.sum(ratios**dim * np.log(ratios)))
+    if slope <= 0.0:
+        raise ValueError("degenerate system: the critical residue is undefined "
+                         "for a single contraction")
+    return ifs.n ** (-h * dim) * (2**ifs.n / slope)
 
 
 def zeta_closed(ifs: IfsSystem, p: float) -> TraceReport:
-    """Closed geometric-series value of the trace at exponent p."""
-    dim = similarity_dimension(ifs)
-    c = _ratio_power_sum(ifs, p)
-    if c >= 1.0:
-        raise DivergenceError(
-            f"trace diverges at p={p}: per-level ratio sum {c:.6g} >= 1 "
-            f"(needs p > dim_s = {dim:.12g})"
-        )
-    value = 2**ifs.n / (1.0 - c)
-    return TraceReport(quantity="zeta_closed", p=p, value=value, dim_s=dim)
+    """Closed geometric-series value of the trace of |D|^-p."""
+    return TraceReport(value=_closed(ifs, 0, p))
 
 
 def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = None) -> TraceReport:
@@ -92,10 +134,8 @@ def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = No
         raise ValueError("exponent must be positive")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    dim = similarity_dimension(ifs)
     c = _ratio_power_sum(ifs, p)
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget() if budget is None else budget
     terms = depth + 1  # the power form stops at its first term of 0.0; c >= 1 has none
     if c < 1.0:
         terms = bisect_left(range(depth + 1), True, key=lambda j: c**j == 0.0)
@@ -108,42 +148,12 @@ def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = No
         value = math.inf
     if math.isinf(value):
         raise DivergenceError(f"partial trace sum at p={p} overflows by depth {depth}")
-    bound = None
-    if c < 1.0:
-        bound = 2**ifs.n * c ** (depth + 1) / (1.0 - c)
-    return TraceReport(
-        quantity="zeta_truncated", p=p, value=value, dim_s=dim, depth=depth, error_bound=bound
-    )
-
-
-def _residue_slope(ifs, dim):
-    """Derivative scale of the per-level ratio sum at the critical exponent."""
-    ratios = ifs.ratios
-    slope = -dim * float(np.sum(ratios**dim * np.log(ratios)))
-    if slope <= 0.0:
-        raise ValueError(
-            "degenerate system: the critical residue is undefined for a single contraction"
-        )
-    return slope
+    return TraceReport(value=value, depth=depth, error_bound=_tail(ifs, 0, p, depth))
 
 
 def dixmier_trace_dirac(ifs: IfsSystem, p: float) -> TraceReport:
-    """Residue value of the singular trace at exponent p.
-
-    The normalization is Connes' Dixmier trace of T = |D|^(-p): the residue
-    lim_{z->1+} (z - 1) Tr(T^z), which equals the log-average
-    lim (1/log M) sum_{k<=M} mu_k(T) of the singular values.  Nonzero exactly
-    at the critical exponent, where the simple pole of the closed zeta form
-    has residue 2^n over the log-weighted ratio sum.
-    """
-    dim = similarity_dimension(ifs)
-    if p < dim - PRE_TOL:
-        raise DivergenceError(f"exponent p={p} below the critical value dim_s={dim:.12g}")
-    if abs(p - dim) <= EQUALITY_TOL:
-        value = 2**ifs.n / _residue_slope(ifs, dim)
-    else:
-        value = 0.0
-    return TraceReport(quantity="dixmier_dirac", p=p, value=value, dim_s=dim)
+    """Dixmier trace of |D|^-p, the residue of Tr(|D|^(-zp)) at z = 1; nonzero only at dim_s."""
+    return TraceReport(value=_critical(ifs, 0, 1, p))
 
 
 def residue_limit_samples(ifs: IfsSystem, p: float):
@@ -152,7 +162,7 @@ def residue_limit_samples(ifs: IfsSystem, p: float):
     Returns (deltas, samples, extrapolated); the samples use the closed zeta
     form, so this is an independent route to the residue value.
     """
-    return _residue_limit(lambda zs: [zeta_closed(ifs, z * p).value for z in zs])
+    return _residue_limit(lambda zs: [_closed(ifs, 0, z * p) for z in zs])
 
 
 def _residue_limit(trace_at):
@@ -161,54 +171,29 @@ def _residue_limit(trace_at):
     trace_at maps the list of sample points z to the list of values R(z).
     Returns (deltas, samples, extrapolated).
     """
-    deltas = list(RESIDUE_DELTAS)
-    values = trace_at([1.0 + d for d in deltas])
-    samples = [d * r for d, r in zip(deltas, values)]
-    return deltas, samples, _extrapolate_to_zero(deltas, samples)
-
-
-def _extrapolate_to_zero(xs, ys):
-    """Neville polynomial extrapolation of (xs, ys) to x = 0."""
-    tab = list(ys)
+    xs = list(RESIDUE_DELTAS)
+    samples = [d * r for d, r in zip(xs, trace_at([1.0 + d for d in xs]))]
+    tab = list(samples)  # Neville's polynomial extrapolation to delta = 0
     m = len(xs)
     for k in range(1, m):
         for i in range(m - k):
             tab[i] = (xs[i] * tab[i + 1] - xs[i + k] * tab[i]) / (xs[i] - xs[i + k])
-    return tab[0]
+    return xs, samples, tab[0]
 
 
 def quantized_volume(ifs: IfsSystem, p: float) -> TraceReport:
-    """Residue value of the volume-measure trace at exponent p.
+    """Dixmier trace of the volume form |[F,x_1]...[F,x_n]|^p: nonzero exactly at p = dim_s / n.
 
-    The operator is T = |[F,x_1]...[F,x_n]|^p.  On the block of word w the
-    absolute value is e_w^n / n^(n/2) times the identity, whatever the
-    orthogonal part of the composed map.  The value uses the normalization of dixmier_trace_dirac:
-    the residue of Tr(T^z) at z = 1, which is the log-average of the singular
-    values.  It equals n^(-dim_s/2) times the critical residue of the
-    reciprocal-ratio trace; nonzero exactly at p = dim_s / n.
+    Its block of word w is e_w^n / n^(n/2) times the identity, whatever the
+    orthogonal part of the composed map, so the residue is n^(-dim_s/2) times
+    that of dixmier_trace_dirac.
     """
-    dim = similarity_dimension(ifs)
-    q = dim / ifs.n
-    if p < q - PRE_TOL:
-        raise DivergenceError(f"exponent p={p} below the critical value dim_s/n={q:.12g}")
-    if abs(p - q) <= EQUALITY_TOL:
-        value = ifs.n ** (-dim / 2.0) * (2**ifs.n / _residue_slope(ifs, dim))
-    else:
-        value = 0.0
-    return TraceReport(quantity="quantized_volume", p=p, value=value, dim_s=dim)
+    return TraceReport(value=_critical(ifs, 0.5, ifs.n, p))
 
 
 def volume_residue_samples(ifs: IfsSystem, p: float):
     """Sampled residue route for the volume-measure trace at exponent p."""
-    n = ifs.n
-
-    def trace_at(z):
-        c = _ratio_power_sum(ifs, n * z * p)
-        if c >= 1.0:
-            raise DivergenceError(f"volume trace diverges at z*p={z * p}")
-        return (2**n / n ** (n * z * p / 2.0)) / (1.0 - c)
-
-    return _residue_limit(lambda zs: [trace_at(z) for z in zs])
+    return _residue_limit(lambda zs: [_closed(ifs, 0.5, ifs.n * z * p) for z in zs])
 
 
 def quantized_volume_truncated(
@@ -223,8 +208,8 @@ def quantized_volume_truncated(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    dim = similarity_dimension(ifs)
     n = ifs.n
+    bound = _tail(ifs, 0.5, n * p, depth)
     total = 0.0
     for block in iter_levels(ifs, depth, budget=budget):
         block_abs = _volume_block(block)
@@ -236,13 +221,7 @@ def quantized_volume_truncated(
                                  f"is not scalar within {BLOCK_TOL:g}")
         for s in scal.tolist():
             total += 2**n * s**p
-    c = _ratio_power_sum(ifs, n * p)
-    bound = None
-    if c < 1.0:
-        bound = (2**n / n ** (n * p / 2.0)) * c ** (depth + 1) / (1.0 - c)
-    return TraceReport(
-        quantity="quantized_volume", p=p, value=total, dim_s=dim, depth=depth, error_bound=bound
-    )
+    return TraceReport(value=total, depth=depth, error_bound=bound)
 
 
 def _volume_block(cube):
@@ -334,24 +313,19 @@ def weighted_functional(
         raise ValueError(f"weighted functional is defined at p = dim_s = {dim:.12g}, got {p}")
 
     def trace_at(zs):
+        cs = [_ratio_power_sum(ifs, z * p) for z in zs]
+        if max(cs) >= 1.0:
+            raise DivergenceError("regularized sum requires z > 1")
         level_sums = np.zeros((len(zs), depth + 1))
         for block in iter_levels(ifs, depth, budget=budget):
             tau = _vertex_values(f, block).sum(axis=1)
             for m, z in enumerate(zs):
                 level_sums[m, block.level] += float(np.dot(block.e_w ** (z * p), tau))
-        totals = []
-        for m, z in enumerate(zs):
-            c = _ratio_power_sum(ifs, z * p)
-            if c >= 1.0:
-                raise DivergenceError("regularized sum requires z > 1")
-            totals.append(float(level_sums[m].sum()) + float(level_sums[m, depth]) * c / (1.0 - c))
-        return totals
+        return [float(sums.sum()) + float(sums[depth]) * c / (1.0 - c)
+                for sums, c in zip(level_sums, cs)]
 
     _, samples, value = _residue_limit(trace_at)
-    err = abs(value - samples[-1])
-    return TraceReport(
-        quantity="weighted_functional", p=p, value=value, dim_s=dim, depth=depth, error_bound=err
-    )
+    return TraceReport(value=value, depth=depth, error_bound=abs(value - samples[-1]))
 
 
 def _point_values(f, points):
@@ -395,7 +369,9 @@ def eigenvalue_counting(ifs: IfsSystem, depth: int, lam: float) -> int:
     number of qualifying words.  Words are grouped by their multiset of
     ratios, which keeps the count polynomial in depth.
     """
-    if lam <= 0:
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if not lam > 0:
         raise ValueError("threshold must be positive")
     return _counting(_ratio_classes(ifs, depth), ifs.n, lam)
 

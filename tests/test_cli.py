@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -64,6 +65,10 @@ def test_analyze_rejects_bad_file(capsys, tmp_path):
     '{"n": 1, "maps": [1]}',
     '{"n": 1, "maps": [{"ratio": null, "matrix": [1.0], "translation": [0.0]}]}',
     '{"n": 1e400, "maps": []}',
+    '{"n": 1.9, "maps": [{"ratio": 0.5, "matrix": [1.0], "translation": [0.0]}]}',
+    '{"n": "1", "maps": [{"ratio": 0.5, "matrix": [1.0], "translation": [0.0]}]}',
+    '{"n": true, "maps": [{"ratio": 0.5, "matrix": [1.0], "translation": [0.0]}]}',
+    '{"n": 2.0, "maps": [{"ratio": 0.5, "matrix": [1, 0, 0, 1], "translation": [0, 0]}]}',
 ])
 def test_malformed_ifs_file_is_invalid_input(capsys, tmp_path, text):
     path = tmp_path / "system.json"
@@ -312,6 +317,18 @@ def test_analyze_byte_stability(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("name, digest", [  # sha256 of the stdout recorded at an earlier commit
+    ("cantor_set", "b084bba148452591e94496093d1c77351b7a21bdfcd881c041f6f990716fdab5"),
+    ("menger_sponge", "8629945b07cbbbce0cf4302b94b8026378a515b379c48ab3510f7513c6724810"),
+    ("rotation", "8392ff9ec2d4b05556104aa54833456ae10aff10a2f73101593fac864c4eb6fb"),
+    ("non_osc", "8b3ebf59892418721abc28ae0f9087dba31bd65c5637e087dd95ccdbe2135e56"),
+])
+def test_analyze_document_matches_recorded_digest(capsys, name, digest):
+    code, out, _ = run_cli(capsys, "analyze", "--preset", name, "--depth", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_out_file_option(capsys, tmp_path):

@@ -530,6 +530,51 @@ def test_eigenvalue_counting_matches_enumeration():
     assert eigenvalue_counting(ifs, depth, lam) == 4 * brute
 
 
+@pytest.mark.parametrize("depth, lam, match", [
+    (-1, 5.0, "depth must be >= 0"),
+    (5, math.nan, "threshold must be positive"),
+    (5, 0.0, "threshold must be positive"),
+])
+def test_eigenvalue_counting_rejects_bad_input(depth, lam, match):
+    with pytest.raises(ValueError, match=match):
+        eigenvalue_counting(cantor_set(), depth, lam)
+
+
+NAN_ROUTES = {
+    "dixmier_trace_dirac": lambda ifs: dixmier_trace_dirac(ifs, math.nan),
+    "quantized_volume": lambda ifs: quantized_volume(ifs, math.nan),
+    "zeta_closed": lambda ifs: zeta_closed(ifs, math.nan),
+    "zeta_truncated": lambda ifs: zeta_truncated(ifs, math.nan, 5),
+    "residue_limit_samples": lambda ifs: residue_limit_samples(ifs, math.nan),
+    "quantized_volume_truncated": lambda ifs: quantized_volume_truncated(ifs, math.nan, 2),
+    "weighted_functional": lambda ifs: weighted_functional(ifs, lambda x: x[0], math.nan, 4),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NAN_ROUTES))
+def test_nan_exponent_is_refused_before_any_sweep(monkeypatch, route):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a word sweep ran")
+
+    monkeypatch.setattr(spectral, "iter_levels", no_sweep)
+    with pytest.raises(ValueError, match="exponent must be a number"):
+        NAN_ROUTES[route](cantor_set())
+
+
+def test_infinite_exponent_keeps_limit_values():
+    carpet = sierpinski_carpet()  # n = 2, so n^(h t) is not 1 at t = inf
+    assert zeta_closed(carpet, math.inf).value == 4.0
+    trunc = zeta_truncated(carpet, math.inf, 3)
+    assert (trunc.value, trunc.error_bound) == (4.0, 0.0)
+    assert dixmier_trace_dirac(carpet, math.inf).value == 0.0
+    assert quantized_volume(carpet, math.inf).value == 0.0
+    assert volume_residue_samples(carpet, math.inf)[1] == [0.0] * 4
+    volume = quantized_volume_truncated(carpet, math.inf, 2)
+    assert (volume.value, volume.error_bound) == (0.0, 0.0)
+    with pytest.raises(DivergenceError):
+        zeta_closed(carpet, -math.inf)
+
+
 def test_spectral_dimension_slopes():
     cs = cantor_set()
     assert abs(spectral_dimension_slope(cs, 10) - similarity_dimension(cs)) <= 0.05
