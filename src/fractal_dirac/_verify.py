@@ -83,7 +83,7 @@ def check_volume_element(max_n=6):
     for n in range(1, max_n + 1):
         for e in (1.0, 1.0 / 3.0, 3.0):
             block = calculus.volume_element_abs(n, e)
-            expected = e**n / n ** (n / 2.0)
+            expected = spectral._volume_scalar(n, e)
             worst = max(worst, float(np.max(np.abs(block - expected * np.eye(2**n)))))
     return _result("volume_element", worst, 1e-11, f"n<={max_n}, e in {{1, 1/3, 3}}")
 

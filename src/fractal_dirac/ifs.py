@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _check_orthogonal
-from .cube import vertex_bits
+from .cube import _frozen, vertex_bits
 from .errors import BudgetExceededError
 
 CONTAINMENT_TOL = 1e-9
@@ -70,7 +70,8 @@ class Similitude:
 
 @dataclass(frozen=True)
 class IfsSystem:
-    """Ordered family of similitudes on [0,1]^n."""
+    """Ordered family of similitudes on [0,1]^n; its map table, row s - 1 for symbol s,
+    is stacked once, read-only: ratios (N,), matrices (N, n, n), translations (N, n)."""
 
     n: int
     maps: tuple
@@ -84,14 +85,13 @@ class IfsSystem:
             if m.n != self.n:
                 raise ValueError("all maps must act on the same dimension")
         object.__setattr__(self, "maps", tuple(self.maps))
+        columns = zip(*((m.ratio, m.matrix, m.translation) for m in self.maps))
+        for table, rows in zip(("ratios", "matrices", "translations"), columns):
+            object.__setattr__(self, table, _frozen(np.array(rows)))
 
     @property
     def num_maps(self) -> int:
         return len(self.maps)
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return np.array([m.ratio for m in self.maps])
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,12 @@ class PlacedCube:
 def _children(ifs: IfsSystem, block: PlacedCube) -> PlacedCube:
     """Child step: every map appended (innermost) to every row, symbol fastest."""
     # composite g, appended map f: (g o f)(x) = e_g T_g (r T x + b) + b_g
-    mats = np.stack([m.matrix for m in ifs.maps])
-    trans = np.stack([m.translation for m in ifs.maps])[:, :, None]
     e, t, big_n, n = block.e_w, block.transform[:, None], ifs.num_maps, ifs.n
     symbols = np.tile(np.arange(1, big_n + 1, dtype=block.words.dtype), e.size)
     words = np.column_stack([np.repeat(block.words, big_n, axis=0), symbols])
-    offset = e[:, None, None] * np.matmul(t, trans)[..., 0] + block.offset[:, None]
+    offset = e[:, None, None] * (t @ ifs.translations[..., None])[..., 0] + block.offset[:, None]
     return PlacedCube(block.level + 1, words, np.multiply.outer(e, ifs.ratios).reshape(-1),
-                      np.matmul(t, mats).reshape(-1, n, n), offset.reshape(-1, n))
+                      (t @ ifs.matrices).reshape(-1, n, n), offset.reshape(-1, n))
 
 
 def _root(ifs: IfsSystem) -> PlacedCube:
@@ -231,10 +229,8 @@ def similarity_dimension(ifs: IfsSystem) -> float:
     longer strictly inside the bracket (above p = 8192 adjacent floats lie
     farther apart than DIMENSION_TOL).
     """
-    ratios = ifs.ratios
-
     def residual(p):
-        return float(np.sum(ratios**p)) - 1.0
+        return float(np.sum(ifs.ratios**p)) - 1.0
 
     if ifs.num_maps == 1:
         return 0.0  # a single contraction: the series sum r^p = 1 has root p = 0

@@ -1,89 +1,77 @@
 """Catalog of the built-in iterated function systems.
 
-Every preset acts on the unit cube.  Translations are dyadic or triadic
-rationals stored in floating point; the osc flag records the trusted
-open-set-condition status used by the Hausdorff-measure quadrature.
+Every preset acts on the unit cube.  The ratio-1/3 presets are one digit
+construction (_digit_maps), their translations triadic rationals in floating
+point; the osc flag records the trusted open-set status used by the quadrature.
 """
+
+from itertools import product
 
 import numpy as np
 
+from .cube import _check_dim
 from .ifs import IfsSystem, Similitude
 
 
-def _axis_aligned(n, ratio, translations, label, osc=True):
-    eye = np.eye(n)
-    maps = tuple(
-        Similitude(ratio=ratio, matrix=eye, translation=np.asarray(b, dtype=float))
-        for b in translations
-    )
-    return IfsSystem(n=n, maps=maps, label=label, osc=osc)
+def _digit_vectors(axes):
+    """Every digit vector with d_i from axes[i], the first axis varying fastest."""
+    return (d[::-1] for d in product(*axes[::-1]))
+
+
+def _carpet(d):  # the carpet family's rule: at most one digit equal to 1
+    return d.count(1) <= 1
+
+
+def _digit_maps(axes, label, keep=None):
+    """Copies of the cube at ratio 1/3, one at each digit position d / 3 that keep accepts."""
+    eye = np.eye(len(axes))
+    maps = tuple(Similitude(1.0 / 3.0, eye, [di / 3.0 for di in d])
+                 for d in _digit_vectors(axes) if keep is None or keep(d))
+    return IfsSystem(n=len(axes), maps=maps, label=label, osc=True)
 
 
 def cantor_set() -> IfsSystem:
     """Middle-third construction on the interval."""
-    return _axis_aligned(1, 1.0 / 3.0, [[0.0], [2.0 / 3.0]], "cantor_set")
+    return _digit_maps([(0, 2)], "cantor_set")
 
 
 def cantor_dust(n: int) -> IfsSystem:
     """2^n corner copies of ratio 1/3; binary digits of the map index pick the corner."""
     if n < 1:
         raise ValueError("cantor_dust needs n >= 1")
-    translations = []
-    for s in range(2**n):
-        translations.append([(2.0 / 3.0) * ((s >> a) & 1) for a in range(n)])
-    return _axis_aligned(n, 1.0 / 3.0, translations, f"cantor_dust{n}")
+    _check_dim(n)
+    return _digit_maps([(0, 2)] * n, f"cantor_dust{n}")
 
 
 def lifted_cantor() -> IfsSystem:
     """Middle-third maps embedded in the plane; the attractor is the interval construction at height 0."""
-    return _axis_aligned(2, 1.0 / 3.0, [[0.0, 0.0], [2.0 / 3.0, 0.0]], "lifted_cantor")
+    return _digit_maps([(0, 2), (0,)], "lifted_cantor")
 
 
 def carpet_index_set(n: int):
     """Map indices 0..3^n-1 whose ternary expansion has at most one digit equal to 1."""
-    keep = []
-    for s in range(3**n):
-        digits = []
-        t = s
-        for _ in range(n):
-            digits.append(t % 3)
-            t //= 3
-        if sum(1 for d in digits if d == 1) <= 1:
-            keep.append(s)
-    return keep
+    return [s for s, d in enumerate(_digit_vectors([(0, 1, 2)] * n)) if _carpet(d)]
 
 
 def sc(n: int) -> IfsSystem:
     """Carpet-family construction: ratio 1/3 with the hole pattern of the index set."""
     if n < 2:
         raise ValueError("the carpet family needs n >= 2")
-    translations = []
-    for s in carpet_index_set(n):
-        digits = []
-        t = s
-        for _ in range(n):
-            digits.append(t % 3)
-            t //= 3
-        translations.append([d / 3.0 for d in digits])
-    return _axis_aligned(n, 1.0 / 3.0, translations, f"sc{n}")
+    _check_dim(n)
+    return _digit_maps([(0, 1, 2)] * n, f"sc{n}", _carpet)
 
 
 def sierpinski_carpet() -> IfsSystem:
-    ifs = sc(2)
-    return IfsSystem(n=2, maps=ifs.maps, label="sierpinski_carpet", osc=True)
+    return _digit_maps([(0, 1, 2)] * 2, "sierpinski_carpet", _carpet)
 
 
 def menger_sponge() -> IfsSystem:
-    ifs = sc(3)
-    return IfsSystem(n=3, maps=ifs.maps, label="menger_sponge", osc=True)
+    return _digit_maps([(0, 1, 2)] * 3, "menger_sponge", _carpet)
 
 
 def lifted_carpet() -> IfsSystem:
     """Planar carpet maps paired with a one-third contraction of the extra axis."""
-    translations = []
-    for s in carpet_index_set(2):
-        translations.append([(s % 3) / 3.0, (s // 3) / 3.0, 0.0])
-    return _axis_aligned(3, 1.0 / 3.0, translations, "lifted_carpet")
+    return _digit_maps([(0, 1, 2), (0, 1, 2), (0,)], "lifted_carpet", _carpet)
 
 
 def rotation(theta: float = np.pi / 4.0) -> IfsSystem:

@@ -97,6 +97,11 @@ def _tail(ifs, h, t, depth):
     return _scale(ifs.n, h, t) * c ** (depth + 1) / (1.0 - c)
 
 
+def _volume_scalar(n, e):
+    """The volume form's block at edge e: the h = 1/2, t = n block, e^n / n^(n/2)."""
+    return e**n / n ** (n / 2.0)
+
+
 def _critical(ifs, h, q, p):
     """Dixmier trace of the block spectrum: its residue at p = dim_s / q, 0.0 above it.
 
@@ -111,8 +116,7 @@ def _critical(ifs, h, q, p):
         raise DivergenceError(f"exponent p={p} below the critical value {crit:.12g}")
     if abs(p - crit) > EQUALITY_TOL:
         return 0.0
-    ratios = ifs.ratios
-    slope = -dim * float(np.sum(ratios**dim * np.log(ratios)))
+    slope = -dim * float(np.sum(ifs.ratios**dim * np.log(ifs.ratios)))
     if slope <= 0.0:
         raise ValueError("degenerate system: the critical residue is undefined "
                          "for a single contraction")
@@ -215,7 +219,7 @@ def quantized_volume_truncated(
         block_abs = _volume_block(block)
         scal = block_abs[:, 0, 0]
         dev = np.abs(block_abs - scal[:, None, None] * np.eye(2**n)).max(axis=(1, 2))
-        off = np.flatnonzero(dev > BLOCK_TOL * np.maximum(1.0, block.e_w**n / n ** (n / 2.0)))
+        off = np.flatnonzero(dev > BLOCK_TOL * np.maximum(1.0, _volume_scalar(n, block.e_w)))
         if off.size:
             raise AssertionError(f"volume block at word {block.words[off[0]].tolist()} "
                                  f"is not scalar within {BLOCK_TOL:g}")
@@ -238,7 +242,7 @@ def abs_volume_block_deviation(ifs: IfsSystem, depth: int, budget: int | None = 
     n = ifs.n
     worst = 0.0
     for cube in iter_placed(ifs, depth, budget=budget):
-        expected = cube.e_w**n / n ** (n / 2.0)
+        expected = _volume_scalar(n, cube.e_w)
         worst = max(worst, float(np.max(np.abs(_volume_block(cube) - expected * np.eye(2**n)))))
     return worst
 
@@ -283,9 +287,7 @@ def integrate_hausdorff(
     weights = ifs.ratios**dim
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
-    mats = np.stack([m.matrix for m in ifs.maps])
-    trans = np.stack([m.translation for m in ifs.maps])
-    ratios = ifs.ratios
+    ratios, mats, trans = ifs.ratios, ifs.matrices, ifs.translations
     values = np.empty(spec.sample_count)
     for start in range(0, spec.sample_count, LEVEL_CHUNK):
         k = min(LEVEL_CHUNK, spec.sample_count - start)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import resource
 import subprocess
 import sys
 import time
@@ -636,3 +637,23 @@ def test_analyze_computes_the_components_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["certificate"]["matches"] is True
     assert len(calls) == 1
+
+
+def _limit_address_space():
+    # 2 GiB: an enumeration that ignores the dimension cap fails in the child, not the host
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.mark.parametrize("name", ["cantor_dust1000", "sc40", "cantor_dust99999999999"])
+def test_oversize_preset_family_exits_2_promptly(name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractal_dirac.cli", "analyze", "--preset", name],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    doc = json.loads(proc.stderr)
+    assert doc["kind"] == "invalid-input"
+    assert "exceeds the dense-storage cap n<=12" in doc["error"]
+    assert "Traceback" not in proc.stderr

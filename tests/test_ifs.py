@@ -23,7 +23,9 @@ from fractal_dirac import (
     vertex_closure_check,
 )
 from fractal_dirac import ifs as ifs_mod
+from fractal_dirac import presets
 from fractal_dirac.cube import vertex_bits
+from fractal_dirac.errors import CapacityError
 from fractal_dirac.ifs import PlacedCube, iter_levels, word_count
 from fractal_dirac.presets import carpet_index_set, lifted_carpet, non_osc
 
@@ -289,6 +291,21 @@ def test_preset_parser_errors():
         with pytest.raises(ValueError, match="finite"):
             preset(f"rotation:{angle}")
 
+
+
+@pytest.mark.parametrize("name", ["cantor_dust13", "sc13"])
+def test_oversize_preset_family_is_refused_before_any_map(monkeypatch, name):
+    built = []
+    original = presets.Similitude
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "Similitude", counted)
+    with pytest.raises(CapacityError, match=r"^n=13 exceeds the dense-storage cap n<=12$"):
+        preset(name)
+    assert built == []
 
 def test_similitude_validation():
     eye = np.eye(2)
