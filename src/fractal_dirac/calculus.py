@@ -124,7 +124,7 @@ def matrix_abs(a: np.ndarray) -> np.ndarray:
     eigendecomposition.
     """
     a = np.asarray(a)
-    h = np.swapaxes(a.conj(), -1, -2) @ a
+    h = np.ascontiguousarray(np.swapaxes(a.conj(), -1, -2)) @ a  # a copy: BLAS on stacks
     m = h.shape[-1]
     c = h[..., 0, 0].real
     diag = np.arange(m)

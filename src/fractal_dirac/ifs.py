@@ -10,6 +10,8 @@ bounded memory; a configurable budget bounds the number of placed cubes visited.
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,14 +96,14 @@ class IfsSystem:
         return len(self.maps)
 
 
-@dataclass(frozen=True)
-class PlacedCube:
+class PlacedCube(NamedTuple):
     """Placed n-cubes x -> e_w * transform @ x + offset of words of one length.
 
     A block from iter_levels has a leading row axis, row i the cube of the word
     words[i] (symbols 1..N, in the smallest unsigned type that holds N); a single
     cube (compose, iter_placed, rows(i)) has none.  The word's maps had their
     orthogonal parts checked once; placed_coordinate_form checks a hand-built cube.
+    A named 5-tuple, so a row costs one tuple and its fields cannot be reassigned.
     """
 
     level: int
@@ -216,10 +218,10 @@ def iter_levels(ifs: IfsSystem, depth: int, budget: int | None = None):
 
 def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
     """Stream the rows of iter_levels one cube at a time, in its order:
-    each word once, after its prefix, the words of each length lexicographic."""
-    for block in iter_levels(ifs, depth, budget=budget):
-        for i in range(block.e_w.size):
-            yield block.rows(i)
+    each word once, after its prefix, the words of each length lexicographic.
+    Row i holds the same views and scalars as block.rows(i)."""
+    for level, *fields in iter_levels(ifs, depth, budget=budget):
+        yield from map(PlacedCube._make, zip(repeat(level), *fields))
 
 
 def similarity_dimension(ifs: IfsSystem) -> float:

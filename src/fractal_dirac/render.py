@@ -63,21 +63,22 @@ def render_svg(ifs: IfsSystem, depth: int, budget: int | None = None) -> str:
     subtree = np.array([word_count(ifs.num_maps, depth - i) for i in range(1, depth + 1)], int)
     polygons = [None] * word_count(ifs.num_maps, depth)
     dots = [None] * len(polygons)
+    circles = "\n".join(f'<circle cx="%.3f" cy="%.3f" r="%.2f" {DOT_STYLE[i % 2]}'
+                         for i in range(2**ifs.n))
     for block in blocks:
         slots = (block.words - 1) @ subtree[: block.level] + block.level
         width = max(0.25, 1.6 * 0.7**block.level)
-        for slot, e, verts in zip(slots.tolist(), block.e_w.tolist(), block.vertices):
-            verts = _project(verts, ifs.n)
-            pts = " ".join("%.3f,%.3f" % to_px(verts[i]) for i in cycle)
-            polygons[slot] = (
-                f'<polygon points="{pts}" fill="none" stroke="#1a1a8c" '
-                f'stroke-width="{width:.2f}"/>'
-            )
-            radius = max(1.0, 4.0 * e)
-            dots[slot] = "\n".join(
-                f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{radius:.2f}" {DOT_STYLE[i % 2]}'
-                for i, (x, y) in enumerate(map(to_px, verts))
-            )
+        outline = (f'<polygon points="{" ".join(["%.3f,%.3f"] * len(cycle))}" fill="none" '
+                   f'stroke="#1a1a8c" stroke-width="{width:.2f}"/>')
+        # to_px's two float operations on whole blocks, beside each vertex's dot radius
+        verts = block.vertices
+        ys = verts[..., 1] if ifs.n > 1 else np.zeros_like(verts[..., 0])
+        radius = np.broadcast_to(np.maximum(1.0, 4.0 * block.e_w)[:, None], ys.shape)
+        pixels = np.stack([(verts[..., 0] + pad) * scale, (1.0 + pad - ys) * scale, radius], -1)
+        corners = pixels[:, cycle, :2].reshape(len(pixels), -1)
+        for slot, corner, vertex in zip(slots.tolist(), corners, pixels.reshape(len(pixels), -1)):
+            polygons[slot] = outline % tuple(corner.tolist())
+            dots[slot] = circles % tuple(vertex.tolist())
     out.extend(polygons)
     out.extend(dots)
 
@@ -96,8 +97,8 @@ def render_svg(ifs: IfsSystem, depth: int, budget: int | None = None) -> str:
                 f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2s:.3f}" y2="{y2s:.3f}" '
                 'stroke="#444" stroke-width="1.2" marker-end="url(#arrow)"/>'
             )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out += ["</svg>", ""]  # the final newline comes from the one join, not a second copy
+    return "\n".join(out)
 
 
 def write_svg(ifs: IfsSystem, depth: int, path, budget: int | None = None):

@@ -25,7 +25,7 @@ from .ifs import (
     IfsSystem,
     default_budget,
     iter_levels,
-    iter_placed,
+    iter_placed,  # no caller here; perfbench reads spectral.iter_placed
     similarity_dimension,
 )
 
@@ -241,9 +241,9 @@ def abs_volume_block_deviation(ifs: IfsSystem, depth: int, budget: int | None = 
     """Max deviation of per-word volume blocks from their predicted scalar."""
     n = ifs.n
     worst = 0.0
-    for cube in iter_placed(ifs, depth, budget=budget):
-        expected = _volume_scalar(n, cube.e_w)
-        worst = max(worst, float(np.max(np.abs(_volume_block(cube) - expected * np.eye(2**n)))))
+    for block in iter_levels(ifs, depth, budget=budget):
+        expected = _volume_scalar(n, block.e_w)[:, None, None] * np.eye(2**n)
+        worst = max(worst, float(np.max(np.abs(_volume_block(block) - expected))))
     return worst
 
 

@@ -221,6 +221,37 @@ def test_involution_check_reports_the_dense_residual(monkeypatch):
     assert reported == [float(max(dense))] == [float(max(dense[2::3]))]
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_involution_check_fails_on_a_corrupted_off_diagonal_entry(monkeypatch, mirrored):
+    # a changed entry of F breaks F = F^T; changed together with its mirror entry
+    # it breaks only F F = I.  Either way the check reports the dense residual
+    f_matrix = cube.f_matrix
+
+    def faulty(n):
+        f = f_matrix(n)
+        if n == 6:
+            f[5, 34] += 0.3
+            if mirrored:
+                f[34, 5] += 0.3
+        return f
+
+    monkeypatch.setattr(cube, "f_matrix", faulty)
+    reported = []
+    result = _verify._result
+
+    def capture(name, value, *rest):
+        reported.append(value)
+        return result(name, value, *rest)
+
+    monkeypatch.setattr(_verify, "_result", capture)
+    assert not _verify.check_involution(max_n=6).passed
+    f, eps = faulty(6), cube.grading(6)
+    dense = max(np.max(np.abs(f @ f - np.eye(64))), np.max(np.abs(f - f.T)),
+                np.max(np.abs(f @ eps + eps @ f)))
+    assert dense > 0.1
+    assert reported[0] == pytest.approx(dense, rel=1e-15, abs=0.0)
+
+
 def test_import_builds_no_operator_tables():
     # the cube and form tables are built on first use, never while the CLI imports
     script = "\n".join([

@@ -100,6 +100,29 @@ def test_iter_placed_matches_enumeration():
         assert np.array_equal(cube.vertices, ref.vertices)
 
 
+@pytest.mark.parametrize("name", ["cantor_set", "menger_sponge", "rotation", "non_osc"])
+def test_iter_placed_rows_equal_the_level_rows(name):
+    # the streamed rows are the level rows themselves: same values, dtypes and types
+    ifs = preset(name)
+    rows = iter_placed(ifs, 3)
+    for block in iter_levels(ifs, 3):
+        for i in range(block.e_w.size):
+            row, ref = next(rows), block.rows(i)
+            assert isinstance(row, PlacedCube) and row.level == ref.level == block.level
+            assert type(row.e_w) is type(ref.e_w) and row.e_w == ref.e_w
+            for field in ("words", "transform", "offset"):
+                got, want = getattr(row, field), getattr(ref, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert next(rows, None) is None
+
+
+def test_placed_row_fields_cannot_be_assigned():
+    row = next(iter_placed(rotation(), 1))
+    for field in ("level", "words", "e_w", "transform", "offset"):
+        with pytest.raises(AttributeError):
+            setattr(row, field, None)
+
+
 @pytest.mark.parametrize("name", ["rotation:0.7", "non_osc"])
 def test_level_blocks_order_contract(monkeypatch, name):
     # a tiny chunk forces every level of depth 4 to be split across blocks

@@ -60,6 +60,10 @@ def test_render_is_byte_stable():
         ("carpet", 3, "129da3f8834fdab419332874936fd5e0d32bdf611bcf9e1940ff02587c51c3a2"),
         ("rotation:0.5", 2, "3c881ba02f080b85ffca28f20ae2784cf29ccb6ffccb5ca3c590d8c337e3bc65"),
         ("menger_sponge", 2, "e6d5961347d8d9fa91ecf7d8e2452337c1d1c495ee792ddfcd6923216c685e2e"),
+        ("cantor_set", 3, "19553acc99c9ddae66c0182f067cee1fc41a26a315c0d3d328756978a73f4b86"),
+        ("lifted_carpet", 3, "ba95a8851358688ad46eb25ba22b20e950f94ba52d019a99f674029fcab3d884"),
+        ("non_osc", 3, "8b1e42204b9572cfc21d24f65b27873b86016f45333e181e1e65544e7951aeb1"),
+        ("rotation", 3, "430d8423816edcc44d1b74a0e64a85291eb84c658a4ab4619e486f4b37a98454"),
     ],
 )
 def test_render_bytes_are_pinned(name, depth, digest):

@@ -273,6 +273,13 @@ def test_rotation_volume_blocks_scalar_to_depth_4():
     assert abs_volume_block_deviation(rotation(), 4) <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["rotation", "rotation:0.5", "rotation:0.7"])
+@pytest.mark.parametrize("depth", [3, 4])
+def test_rotation_volume_block_deviation_is_pinned(name, depth):
+    # float.hex recorded from the one-cube-at-a-time loop over iter_placed
+    assert abs_volume_block_deviation(preset(name), depth).hex() == "0x1.0000000000000p-53"
+
+
 def _volume_per_cube(ifs, p, depth):
     """One dense block at a time over iter_placed, the forms summed from
     calculus.coordinate_form here: the reference for the batched products."""
