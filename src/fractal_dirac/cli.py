@@ -17,7 +17,7 @@ import numpy as np
 from . import _verify
 from .components import level_one_components
 from .errors import BudgetExceededError, DivergenceError
-from .ifs import default_budget, load_ifs, similarity_dimension, vertex_closure_check
+from .ifs import _json_text, default_budget, load_ifs, similarity_dimension, vertex_closure_check
 from .ktheory import (
     component_certificate,
     connes_gap_pairing,
@@ -126,7 +126,7 @@ def _emit(doc, args) -> None:
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"document key {key!r} holds {value}, not a finite number")
     if args.format == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json_text(doc)
     else:
         sep, lines = (",", ["key,value"]) if args.format == "csv" else (" = ", [])
         lines += [f"{key}{sep}{value}" for key, value in sorted(_flatten(doc).items())]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cube import vertex_bits
 from .errors import CapacityError
-from .ifs import IfsSystem, compose
+from .ifs import IfsSystem, _children, _root
 
 INTERSECT_TOL = 1e-9
 PARALLEL_TOL = 1e-12  # edges this close up to sign give one direction for the normals
@@ -50,10 +50,14 @@ def cubes_intersect(c1, c2) -> bool:
     return bool(np.all(np.abs(normals @ (c1.centers() - c2.centers())) <= reach))
 
 
-def point_in_cube(placed, x) -> bool:
-    """Membership of a point in the closed placed cube."""
-    y = placed.transform.T @ (np.asarray(x, dtype=float) - placed.offset)
-    return bool(np.all(y >= -INTERSECT_TOL) and np.all(y <= placed.e_w + INTERSECT_TOL))
+def point_in_cube(placed, x):
+    """Membership of points x (..., n) in closed placed cubes: a truth value for one
+    cube and one point, else an array, a block giving one row of memberships per cube."""
+    x = np.asarray(x, dtype=float)
+    y = (x - placed.offset[..., None, :]) @ placed.transform  # pulled back to [0, e_w]^n
+    e_w = np.asarray(placed.e_w)[..., None, None]
+    inside = np.all((y >= -INTERSECT_TOL) & (y <= e_w + INTERSECT_TOL), axis=-1)
+    return bool(inside[0]) if x.ndim == placed.offset.ndim == 1 else inside
 
 
 @dataclass(frozen=True)
@@ -78,9 +82,9 @@ class ComponentReport:
 
 def level_one_components(ifs: IfsSystem) -> ComponentReport:
     """Components of the original vertices united with the level-one cube images."""
-    cubes = [compose(ifs, (s,)) for s in range(1, ifs.num_maps + 1)]
+    cubes = _children(ifs, _root(ifs))  # row s - 1 for symbol s
     corners = vertex_bits(ifs.n).astype(float)
-    m = len(cubes)
+    m = ifs.num_maps
     parent = list(range(m + len(corners)))  # cubes, then vertices; a root is its least item
 
     def root(i):
@@ -88,10 +92,10 @@ def level_one_components(ifs: IfsSystem) -> ComponentReport:
             i = parent[i]
         return i
 
-    links = [(i, j) for i in range(m) for j in range(i + 1, m)
-             if cubes_intersect(cubes[i], cubes[j])]
-    links += [(i, m + v) for v in range(len(corners)) for i in range(m)
-              if point_in_cube(cubes[i], corners[v])]
+    links = [(i, j) for i, j in np.transpose(np.triu_indices(m, 1)).tolist()
+             if cubes_intersect(cubes.rows(i), cubes.rows(j))]
+    vertex, cube = np.nonzero(point_in_cube(cubes, corners).T)
+    links += zip(cube.tolist(), (m + vertex).tolist())
     for i, j in links:
         low, high = sorted((root(i), root(j)))
         parent[high] = low

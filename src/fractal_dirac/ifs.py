@@ -173,8 +173,6 @@ def _check_budget(ifs, depth, budget):
     below the bit length of the budget."""
     if budget is None:
         budget = default_budget()
-    if budget == float("inf"):  # the caller counts its own visits
-        return
     if ifs.num_maps == 1 or depth < int(budget).bit_length():
         total = word_count(ifs.num_maps, depth)
         if total <= budget:
@@ -253,7 +251,7 @@ def similarity_dimension(ifs: IfsSystem) -> float:
 def vertex_closure_check(ifs: IfsSystem) -> bool:
     """True iff every unit-cube vertex is the image of a vertex under some map."""
     corners = vertex_bits(ifs.n).astype(float)
-    images = np.vstack([m.apply(corners) for m in ifs.maps])
+    images = _children(ifs, _root(ifs)).vertices.reshape(-1, ifs.n)
     for v in corners:
         if np.min(np.max(np.abs(images - v), axis=1)) > CONTAINMENT_TOL:
             return False
@@ -297,10 +295,14 @@ def from_json_dict(doc: dict) -> IfsSystem:
     return IfsSystem(n=n, maps=maps, label=label)
 
 
+def _json_text(doc) -> str:
+    """The bytes of every JSON document written: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def save_ifs(ifs: IfsSystem, path) -> None:
     with open(path, "w") as fh:
-        json.dump(to_json_dict(ifs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(to_json_dict(ifs)))
 
 
 def load_ifs(path) -> IfsSystem:

@@ -18,7 +18,7 @@ import numpy as np
 from .components import ComponentReport, level_one_components
 from .cube import vertex_bits
 from .errors import BudgetExceededError
-from .ifs import IfsSystem, compose, default_budget, iter_levels
+from .ifs import IfsSystem, _children, _json_text, _root, _sweep, default_budget
 
 MEMBERSHIP_TOL = 1e-12
 STABILITY_WINDOW = 3  # final depths whose increments must all vanish
@@ -119,8 +119,7 @@ class ProjectionSpec:
 
 def save_projection(proj: ProjectionSpec, path) -> None:
     with open(path, "w") as fh:
-        json.dump(proj.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(proj.to_json_dict()))
 
 
 def load_projection(path) -> ProjectionSpec:
@@ -189,7 +188,7 @@ def index_pairing(
     increments = [0] * (depth + 1)
     visited = 0
     # no word budget for the engine: pruning visits fewer cubes, counted here
-    sweep = iter_levels(ifs, depth, budget=float("inf"))
+    sweep = _sweep(ifs, _root(ifs), depth)
     block = next(sweep)
     while True:
         visited += block.e_w.size
@@ -264,12 +263,11 @@ def component_projection(ifs: IfsSystem, report, index: int) -> ProjectionSpec:
     """Box neighborhood of one component, padded by a margin below the
     point-set separation from every other component."""
     corners = vertex_bits(ifs.n).astype(float)
-    cubes = {s: compose(ifs, (s,)) for s in range(1, ifs.num_maps + 1)}
+    images = _children(ifs, _root(ifs)).vertices  # row s - 1: the cube of symbol s
 
     def points_of(comp):
-        pts = [cubes[s].vertices for s in comp.cubes]
-        pts += [corners[v][None, :] for v in comp.vertices]
-        return np.vstack(pts)
+        pts = images[np.array(comp.cubes, dtype=int) - 1].reshape(-1, ifs.n)
+        return np.vstack([pts, corners[list(comp.vertices)]])
 
     mine = points_of(report.components[index])
     min_dist = np.inf
@@ -283,7 +281,7 @@ def component_projection(ifs: IfsSystem, report, index: int) -> ProjectionSpec:
     comp = report.components[index]
     boxes = []
     for s in comp.cubes:
-        verts = cubes[s].vertices
+        verts = images[s - 1]
         boxes.append(closed_box(verts.min(axis=0) - margin, verts.max(axis=0) + margin))
     for v in comp.vertices:
         boxes.append(closed_box(corners[v] - margin, corners[v] + margin))

@@ -38,6 +38,15 @@ OSC_PRESETS = [
 
 ALL_PRESETS = OSC_PRESETS + ["non_osc"]
 
+# systems on which the level-one layer meets its per-cube oracles: the fixed
+# presets, four rotation angles, the carpet family and the dusts to n = 6
+LEVEL_ONE_SYSTEMS = (
+    ["cantor_set", "lifted_cantor", "sierpinski_carpet", "menger_sponge", "lifted_carpet",
+     "rotation", "non_osc", "rotation:0", "rotation:0.5", "rotation:0.7", "rotation:1.3"]
+    + [f"sc{n}" for n in range(2, 5)]
+    + [f"cantor_dust{n}" for n in range(1, 7)]
+)
+
 
 @pytest.fixture(params=ALL_PRESETS)
 def any_preset(request):

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import ALL_PRESETS, random_orthogonal
+from conftest import ALL_PRESETS, LEVEL_ONE_SYSTEMS, random_orthogonal
 from fractal_dirac import CapacityError, compose, level_one_components, preset
-from fractal_dirac.components import INTERSECT_TOL, cubes_intersect, point_in_cube
-from fractal_dirac.ifs import PlacedCube
+from fractal_dirac.components import (
+    INTERSECT_TOL,
+    Component,
+    ComponentReport,
+    cubes_intersect,
+    point_in_cube,
+)
+from fractal_dirac.cube import vertex_bits
+from fractal_dirac.ifs import PlacedCube, _children, _root
 
 
 def _placed_cube(offset, e_w, n=2, transform=None):
@@ -186,3 +193,57 @@ def test_parity_conservation(any_preset):
     d1 = sum(c.d1 for c in report.components)
     assert d0 + d1 == 2**any_preset.n
     assert d0 == d1 == 2 ** (any_preset.n - 1)
+
+
+def _level_one_oracle(ifs):
+    """Components from one compose call per symbol, cubes_intersect on every pair and
+    the scalar pull-back of every vertex into every cube, merged by relabelling each
+    item with the least item of its set."""
+    cubes = [compose(ifs, (s,)) for s in range(1, ifs.num_maps + 1)]
+    corners = vertex_bits(ifs.n).astype(float)
+    m = len(cubes)
+    label = list(range(m + len(corners)))
+
+    def join(a, b):
+        low, high = sorted((label[a], label[b]))
+        label[:] = [low if x == high else x for x in label]
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if cubes_intersect(cubes[i], cubes[j]):
+                join(i, j)
+    for v, corner in enumerate(corners):
+        for i, cube in enumerate(cubes):
+            y = cube.transform.T @ (corner - cube.offset)
+            if np.all(y >= -INTERSECT_TOL) and np.all(y <= cube.e_w + INTERSECT_TOL):
+                join(i, m + v)
+    components = []
+    for least in sorted(set(label)):
+        members = [k for k, x in enumerate(label) if x == least]
+        verts = tuple(k - m for k in members if k >= m)
+        d1 = sum(v % 2 for v in verts)
+        components.append(Component(cubes=tuple(k + 1 for k in members if k < m),
+                                    vertices=verts, d0=len(verts) - d1, d1=d1))
+    return ComponentReport(n=ifs.n, components=tuple(components))
+
+
+@pytest.mark.parametrize("name", LEVEL_ONE_SYSTEMS)
+def test_level_one_components_match_per_cube_oracle(name):
+    ifs = preset(name)
+    assert level_one_components(ifs) == _level_one_oracle(ifs)
+
+
+@pytest.mark.parametrize("name", ["rotation:0.7", "non_osc", "menger_sponge", "lifted_carpet"])
+def test_block_membership_matches_per_row_calls(rng, name):
+    # one row of memberships per cube of the level-one block, one column per point:
+    # the cube vertices, points on the images' corners and random points of the cube
+    ifs = preset(name)
+    block = _children(ifs, _root(ifs))
+    points = np.vstack([vertex_bits(ifs.n), block.vertices[:, -1], rng.uniform(size=(40, ifs.n))])
+    table = point_in_cube(block, points)
+    assert table.shape == (ifs.num_maps, len(points)) and table.dtype == bool
+    for i in range(ifs.num_maps):
+        cube = block.rows(i)
+        assert table[i].tolist() == [point_in_cube(cube, p) for p in points]
+        assert point_in_cube(cube, points).tolist() == table[i].tolist()
+    assert table.any() and not table.all()

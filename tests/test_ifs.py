@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import LEVEL_ONE_SYSTEMS
 from fractal_dirac import (
     BudgetExceededError,
     IfsSystem,
@@ -26,7 +27,7 @@ from fractal_dirac import ifs as ifs_mod
 from fractal_dirac import presets
 from fractal_dirac.cube import vertex_bits
 from fractal_dirac.errors import CapacityError
-from fractal_dirac.ifs import PlacedCube, iter_levels, word_count
+from fractal_dirac.ifs import PlacedCube, _children, _root, iter_levels, word_count
 from fractal_dirac.presets import carpet_index_set, lifted_carpet, non_osc
 
 
@@ -272,6 +273,19 @@ def test_non_osc_dimension_root():
 )
 def test_vertex_closure(name, expected):
     assert vertex_closure_check(preset(name)) is expected
+
+
+@pytest.mark.parametrize("name", LEVEL_ONE_SYSTEMS)
+def test_vertex_closure_matches_similitude_images(name):
+    # the images of the cube vertices under each map, stacked map by map, are bit
+    # for bit the vertices of the level-one block and decide the closure alike
+    ifs = preset(name)
+    corners = vertex_bits(ifs.n).astype(float)
+    images = np.vstack([m.apply(corners) for m in ifs.maps])
+    assert np.array_equal(images, _children(ifs, _root(ifs)).vertices.reshape(-1, ifs.n))
+    closed = all(np.min(np.max(np.abs(images - v), axis=1)) <= ifs_mod.CONTAINMENT_TOL
+                 for v in corners)
+    assert vertex_closure_check(ifs) is closed
 
 
 def test_carpet_index_sets():

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -268,6 +269,29 @@ def test_certificates_across_presets():
 
     lifted_line = nonvanish_certificate(preset("lifted_cantor"))
     assert lifted_line is not None and lifted_line.pairing_matches
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("cantor_set", "d599e97e37dc51d3cbeda0e8a8bb4f6c6457286d5a95546acda044582cafcfda"),
+        ("lifted_cantor", "8befeb3baf2b71ea1b02bbbf9982e431ee8218faeeb6f3a65b5e7493e464e63d"),
+        ("cantor_dust2", "8befeb3baf2b71ea1b02bbbf9982e431ee8218faeeb6f3a65b5e7493e464e63d"),
+        ("cantor_dust3", "a09eff9fdced7ca3ac3a6815bdf23fef3aa7f0b3c39055d085c09999a8177866"),
+        ("lifted_carpet", "181a9507da8277e3ed82718a0e213dd1a1856e5429df6068a37b5b98d33a5b9f"),
+        ("rotation", "deeb127ee61a15411e4da6ca6c256446d671aca433a4a907e96060f4f48208c6"),
+    ],
+)
+def test_certificate_projection_is_pinned(name, digest):
+    # sha256 of each region's lo bytes then hi bytes, in region order: the padded
+    # boxes and their margin to the last bit (lifted_cantor and cantor_dust2 both
+    # pad the origin vertex and the first image square)
+    cert = nonvanish_certificate(preset(name))
+    h = hashlib.sha256()
+    for box in cert.projection.regions:
+        h.update(box.lo.tobytes())
+        h.update(box.hi.tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,11 @@ import hashlib
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from fractal_dirac import preset, render_svg, write_svg
+from fractal_dirac.cube import vertex_bits
 
 
 def test_dust_square_count():
@@ -39,6 +41,21 @@ def test_level_zero_arrows_present():
     assert doc.count("marker-end") == 4  # the four oriented edges of the square
 
 
+def test_level_zero_arrows_at_the_dimension_cap():
+    # one arrow per edge of the 12-cube, n 2^(n-1) = 24,576 of them
+    doc = render_svg(preset("cantor_dust12"), 0)
+    assert doc.count("marker-end") == 12 * 2**11
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_first_vertices_trace_the_first_two_axes_face(n):
+    # the outlines join vertices 0..3 (0..1 on the line) in order
+    face = [[0, 0], [1, 0], [1, 1], [0, 1]][: 2**n]
+    expected = np.zeros((len(face), n), dtype=int)
+    expected[:, :2] = np.array(face)[:, :n]
+    assert np.array_equal(vertex_bits(n)[: len(face)], expected)
+
+
 def test_other_dimensions_render_without_warning():
     # the projection onto the first two axes is documented, not warned about,
     # so the CLI's stderr carries only its own JSON lines
@@ -64,6 +81,9 @@ def test_render_is_byte_stable():
         ("lifted_carpet", 3, "ba95a8851358688ad46eb25ba22b20e950f94ba52d019a99f674029fcab3d884"),
         ("non_osc", 3, "8b1e42204b9572cfc21d24f65b27873b86016f45333e181e1e65544e7951aeb1"),
         ("rotation", 3, "430d8423816edcc44d1b74a0e64a85291eb84c658a4ab4619e486f4b37a98454"),
+        ("cantor_dust4", 1, "eec909c13b00f59f2d1e4a474876bcdfe09435a664d53b000187c576c1962143"),
+        ("sc4", 1, "d54c02a36efe6cc311c845dbcbf671e442df7b93126088d2a9c52caf469b14b1"),
+        ("cantor_dust8", 0, "ee57cab816c2ed2101a335272ada91913d785dca363315b9bfb745991f3f6ac0"),
     ],
 )
 def test_render_bytes_are_pinned(name, depth, digest):
