@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cube import _check_dim, _frozen, f_matrix, g_matrix, vertex_bits
+from .cube import _check_dim, _edge_table, _frozen, u_matrix, vertex_bits
 
 ORTHOGONALITY_TOL = 1e-9
 CLIFFORD_CAP = 10
@@ -36,28 +36,29 @@ def _vertex_values(n, values):
 
 
 def commutator_direct(n: int, values) -> np.ndarray:
-    """Commutator of the odd involution with a vertex function, by definition."""
+    """Commutator F f - f F of the odd involution with a vertex function, by definition, formed
+    on F's blocks U^T and U = u_matrix(n) only: its zero blocks commute with the diagonal f."""
     f = block_order(_vertex_values(n, values))
-    fn = f_matrix(n)
-    # F @ diag(f) - diag(f) @ F, written without materializing the diagonal
-    return fn * f[None, :] - f[:, None] * fn
-
-
-def hadamard_difference(n: int, values) -> np.ndarray:
-    """Matrix of differences f(even vertex) - f(odd vertex), odd rows by even columns."""
-    v = _vertex_values(n, values)
-    return v[0::2][None, :] - v[1::2][:, None]
+    u = u_matrix(n)
+    m = u.shape[0]
+    even, odd = f[:m], f[m:]
+    out = np.zeros((2 * m, 2 * m), dtype=np.result_type(u, f))
+    np.subtract(u.T * odd[None, :], even[:, None] * u.T, out=out[:m, m:])
+    np.subtract(u * even[None, :], odd[:, None] * u, out=out[m:, :m])
+    return out
 
 
 def commutator_hadamard(n: int, values) -> np.ndarray:
-    """Same commutator assembled from the entrywise product with the signed edge matrix."""
-    delta = hadamard_difference(n, values)
-    lower = (delta * g_matrix(n)) / np.sqrt(n)
-    upper = -lower.T
-    m = lower.shape[0]
+    """Same commutator as the entrywise product of f(even) - f(odd) with g_matrix(n) / sqrt(n),
+    formed on the n edges of each odd vertex that the signed permutations _edge_table(n) list."""
+    v = _vertex_values(n, values)
+    perm, sign = _edge_table(n)
+    lower = ((v[0::2][perm] - v[1::2][None, :]) * sign) / np.sqrt(n)
+    m = perm.shape[1]
+    rows = np.broadcast_to(np.arange(m), perm.shape)
     out = np.zeros((2 * m, 2 * m), dtype=lower.dtype)
-    out[:m, m:] = upper
-    out[m:, :m] = lower
+    out[m + rows, perm] = lower
+    out[perm, m + rows] = -lower
     return out
 
 

@@ -103,6 +103,21 @@ def g_matrix(n: int) -> np.ndarray:
     return _frozen(np.block([[g, -x], [x, g]]))
 
 
+@lru_cache(maxsize=None)
+def _edge_table(n: int):
+    """g_matrix(n) as the sum of n signed permutations G_alpha, its edges along axis alpha: frozen (perm,
+    sign) of shape (n, 2^{n-1}), row i of G_alpha holding sign[alpha-1, i] in column perm[alpha-1, i].
+    With R the reversal x_matrix(n-1), G_alpha(n) = I_2 (x) G_alpha(n-1) and G_n(n) = [[0, -R], [R, 0]]."""
+    _check_dim(n)
+    if n == 1:
+        return _frozen(np.zeros((1, 1), dtype=np.int64)), _frozen(np.ones((1, 1), dtype=np.int64))
+    perm, sign = _edge_table(n - 1)
+    h = perm.shape[1]
+    perm = np.vstack([np.hstack([perm, perm + h]), np.arange(2 * h - 1, -1, -1)])
+    sign = np.vstack([np.hstack([sign, sign]), np.repeat(np.array([-1, 1]), h)])
+    return _frozen(perm), _frozen(sign)
+
+
 def u_matrix(n: int) -> np.ndarray:
     """Unitary normalization of the signed edge matrix."""
     return g_matrix(n) / np.sqrt(n)

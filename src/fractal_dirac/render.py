@@ -8,7 +8,7 @@ dimensions other than 2 are projected onto the first two axes.
 
 import numpy as np
 
-from .cube import oriented_edges
+from .cube import _edge_table
 from .ifs import IfsSystem, iter_levels, word_count
 
 SIZE = 640  # width and height of the figure in pixels
@@ -60,12 +60,13 @@ def render_svg(ifs: IfsSystem, depth: int, budget: int | None = None) -> str:
     out.extend(polygons)
     out.extend(dots)
 
-    # the oriented edges of the level-zero cube, each shortened toward its head
-    # so the arrowhead stays visible
-    signs = oriented_edges(ifs.n)
-    rows, cols = np.nonzero(signs)
-    outward = signs[rows, cols] > 0  # even -> odd
-    odd, even = 2 * rows + 1, 2 * cols
+    # the oriented edges of the level-zero cube in the row-major order of oriented_edges(n), read
+    # off the signed permutations of g, each shortened toward its head so the arrowhead stays visible
+    perm, sign = (a.T.ravel() for a in _edge_table(ifs.n))  # row i: odd vertex 2i+1's n edges
+    rows = np.arange(len(perm)) // ifs.n
+    order = np.lexsort((perm, rows))
+    odd, even = 2 * rows[order] + 1, 2 * perm[order]
+    outward = sign[order] > 0  # even -> odd
     tail = root[np.where(outward, even, odd)]
     head = root[np.where(outward, odd, even)]
     arrow = ('<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,13 @@ from fractal_dirac import (
 from fractal_dirac.calculus import (
     _clifford_residual,
     _coordinate_perm,
+    block_order,
     coordinate_values,
     custom_unitary_form,
     matrix_abs,
     placed_coordinate_form,
 )
-from fractal_dirac.cube import g_matrix, u_matrix, vertex_bits, x_matrix
+from fractal_dirac.cube import _edge_table, f_matrix, g_matrix, u_matrix, vertex_bits, x_matrix
 from fractal_dirac.ifs import iter_levels
 
 from conftest import random_orthogonal
@@ -63,6 +66,66 @@ def test_two_path_commutators_agree(n, data):
     direct = commutator_direct(n, f)
     hadamard = commutator_hadamard(n, f)
     assert np.max(np.abs(direct - hadamard)) <= 1e-12
+
+
+def _assert_same_entries(got, ref):
+    np.testing.assert_array_equal(got, ref)  # -0.0 == 0.0: a zero's sign may differ
+    nonzero = ref != 0
+    assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_commutator_routes_equal_the_dense_formulas(rng, n):
+    # the dense oracles F f - f F over all of f_matrix(n), and (f(even) - f(odd)) * g / sqrt(n)
+    # scattered as the lower block with its negated transpose above; both are entrywise, so
+    # they are evaluated a slab of rows at a time, which gives the same bytes in less memory
+    m, slab = 2 ** (n - 1), 256
+    fn, g = f_matrix(n), g_matrix(n)
+    real = rng.standard_normal(2**n)
+    for v in (real, real + 1j * rng.standard_normal(2**n)):
+        f = block_order(v)
+        got = commutator_direct(n, v)
+        assert got.dtype == np.result_type(fn, v)
+        for r in range(0, 2 * m, slab):
+            rows = slice(r, r + slab)
+            _assert_same_entries(got[rows], fn[rows] * f[None, :] - f[rows, None] * fn[rows])
+        got = commutator_hadamard(n, v)
+        assert got.dtype == v.dtype
+        assert not got[:m, :m].any() and not got[m:, m:].any()
+        for r in range(0, m, slab):
+            rows = slice(r, r + slab)
+            lower = ((v[0::2][None, :] - v[1::2][rows, None]) * g[rows]) / np.sqrt(n)
+            _assert_same_entries(got[m:][rows, :m], lower)
+            _assert_same_entries(got[:m, m:][:, rows], -lower.T)
+        del got
+
+
+@pytest.mark.parametrize("route, bound", [(commutator_direct, 1.8), (commutator_hadamard, 1.1)])
+def test_commutator_routes_allocate_little_beyond_their_output(route, bound):
+    # traced peak of one call over the output's bytes, at n = 10 (m = 512, output 4 m^2
+    # floats): the direct route holds the output, U = u_matrix(n) (m^2) and two block-sized
+    # products (2 m^2) at once, 7/4; the edge route adds O(n 2^n) to its output, about 1
+    n = 10
+    v = np.random.default_rng(0).standard_normal(2**n)
+    route(n, v)  # the cached g_matrix and _edge_table are built once, not per call
+    tracemalloc.start()
+    try:
+        out = route(n, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * out.nbytes
+
+
+def test_edge_direction_is_the_coordinate_form_support():
+    # the lower block of coordinate_form(n, a) is (x_a(even) - x_a(odd)) times G_a, exactly
+    for n in range(1, 9):
+        m = 2 ** (n - 1)
+        for alpha, (p, s) in enumerate(zip(*_edge_table(n)), start=1):
+            x = coordinate_values(n, alpha).astype(np.int64)
+            lower = np.zeros((m, m), dtype=np.int64)
+            lower[np.arange(m), p] = (x[0::2][p] - x[1::2]) * s
+            np.testing.assert_array_equal(coordinate_form(n, alpha)[m:, :m], lower)
 
 
 def test_indicator_commutator_square():

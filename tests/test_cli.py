@@ -258,12 +258,12 @@ def test_import_builds_no_operator_tables():
         "import fractal_dirac.cli",
         "from fractal_dirac import calculus, cube",
         "caches = [cube.vertex_bits, cube.x_matrix, cube.g_matrix, cube.oriented_edge_set,",
-        "          calculus._coordinate_perm]",
+        "          cube._edge_table, calculus._coordinate_perm]",
         "print([c.cache_info().currsize for c in caches])",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, 0, 0, 0, 0]
+    assert json.loads(proc.stdout) == [0, 0, 0, 0, 0, 0]
 
 
 def test_pairing_command(capsys):

@@ -8,7 +8,7 @@ from fractal_dirac import (
     grading,
     oriented_edges,
 )
-from fractal_dirac.cube import oriented_edge_set, u_matrix, vertex_bits, x_matrix
+from fractal_dirac.cube import _edge_table, oriented_edge_set, u_matrix, vertex_bits, x_matrix
 
 G2 = np.array([[1, -1], [1, 1]])
 G3 = np.array([[1, -1, 0, -1], [1, 1, -1, 0], [0, 1, 1, -1], [1, 0, 1, 1]])
@@ -113,10 +113,48 @@ def test_swap_intertwines_edge_matrix_exactly(n):
     np.testing.assert_array_equal(x @ g.T - g @ x, np.zeros_like(x))
 
 
+def _signed_permutation(perm, sign):
+    m = perm.size
+    out = np.zeros((m, m), dtype=np.int64)
+    out[np.arange(m), perm] = sign
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_edge_table_is_n_signed_permutations_summing_to_g(n):
+    perm, sign = _edge_table(n)
+    m = 2 ** (n - 1)
+    assert perm.shape == sign.shape == (n, m)
+    assert not perm.flags.writeable and not sign.flags.writeable
+    for row in perm:
+        np.testing.assert_array_equal(np.sort(row), np.arange(m))
+    assert np.all(np.abs(sign) == 1)
+    total = np.zeros((m, m), dtype=np.int64)
+    for p, s in zip(perm, sign):
+        total[np.arange(m), p] += s
+    assert total.dtype == g_matrix(n).dtype
+    np.testing.assert_array_equal(total, g_matrix(n))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_edge_directions_anticommute_exactly(n):
+    # G_a^T G_b + G_b^T G_a = 0 and G_a G_b^T + G_b G_a^T = 0 for a != b, exactly: with
+    # G_a^T G_a = I these make U = g / sqrt(n) unitary.  The products run in float64, where
+    # sums of at most 2^(n-1) terms +-1 are exact integers, so they take the BLAS path
+    forms = [_signed_permutation(p, s).astype(float) for p, s in zip(*_edge_table(n))]
+    for a in range(n):
+        for b in range(a + 1, n):
+            ga, gb = forms[a], forms[b]
+            assert not np.any(ga.T @ gb + gb.T @ ga)
+            assert not np.any(ga @ gb.T + gb @ ga.T)
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         vertex_bits(0)
     with pytest.raises(CapacityError):
         g_matrix(13)
+    with pytest.raises(CapacityError):
+        _edge_table(13)
     with pytest.raises(CapacityError):
         vertex_bits(13)
