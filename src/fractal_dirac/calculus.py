@@ -4,7 +4,7 @@ A function on the cube vertices acts diagonally in block order (even vertices
 first).  Its quantized differential is the commutator with the odd involution
 from :mod:`fractal_dirac.cube`, computed either directly or through the
 entrywise Hadamard formula over the signed adjacency.  Coordinate one-forms
-are signed permutations with a closed Kronecker expression; they satisfy a
+are signed permutations read off the cube's edge table; they satisfy a
 Clifford anticommutation relation, and their ordered product has a scalar
 absolute value, the volume element of the quantized calculus.
 """
@@ -71,21 +71,22 @@ def coordinate_values(n: int, alpha: int, edge_length: float = 1.0) -> np.ndarra
 
 @lru_cache(maxsize=None)
 def _coordinate_perm(n: int, alpha: int):
-    """coordinate_form(n, alpha) as frozen (perm, sign), row i holding sign[i] in column perm[i];
-    the Kronecker product of (p1, s1) and (p2, s2), p2 of length m, is (p1 m + p2, s1 s2)."""
+    """coordinate_form(n, alpha) as frozen (perm, sign), row i holding sign[i] in column perm[i].
+
+    The lower block is G_alpha of _edge_table(n) scaled by the coordinate step f(even) - f(odd) along
+    each edge, the upper block minus its transpose: G_alpha's perm is an XOR involution, so the
+    transpose of (perm, s) is (perm, s[perm])."""
     _check_dim(n)
     if not 1 <= alpha <= n:
         raise ValueError(f"axis index must satisfy 1 <= alpha <= {n}, got {alpha}")
-    k, m = 2 ** max(n - alpha - 1, 0), 2 ** (alpha - 1)
-    mid = [(range(k), [1] * k), ([0, 1], [1, -1])] if alpha < n else []  # identity, eps1
-    perm, sign = np.array([1, 0]), np.array([1, -1])  # swap
-    for p, s in mid + [(range(m - 1, -1, -1), [1] * m)]:  # then x_matrix(alpha), the reversal
-        perm, sign = np.add.outer(perm * len(p), p).ravel(), np.kron(sign, s)
-    return _frozen(perm), _frozen(sign)
+    perm, sign = (a[alpha - 1] for a in _edge_table(n))
+    x = vertex_bits(n)[:, alpha - 1]
+    lower = sign * (x[0::2][perm] - x[1::2])
+    return _frozen(np.concatenate([perm + perm.size, perm])), _frozen(np.concatenate([-lower[perm], lower]))
 
 
 def coordinate_form(n: int, alpha: int) -> np.ndarray:
-    """Closed Kronecker expression of the normalized coordinate one-form.
+    """The normalized coordinate one-form, from the closed table _coordinate_perm(n, alpha).
 
     Exact integer entries, a signed permutation; equals sqrt(n)/e times the
     commutator of the coordinate function on the cube of edge e.

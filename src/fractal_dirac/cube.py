@@ -1,11 +1,15 @@
 """Inductive combinatorics and operator matrices of the unit n-cube.
 
-Vertices of the cube [0, e]^n are numbered by a mirror recursion: the first
-half embeds the (n-1)-cube at last coordinate 0, and vertex 2^n - 1 - i is
-vertex i with its last coordinate raised to e.  Even-indexed vertices form the
-positive half of the graded vector space, odd-indexed the negative half, and
-every cube edge joins vertices of opposite parity.  All operator matrices act
-in block order: even vertices first, odd vertices second.
+Vertices of the cube [0, e]^n carry the mirror numbering, which is the
+binary reflected Gray code: vertex v has the coordinate bits of v ^ (v >> 1),
+so the first half embeds the (n-1)-cube at last coordinate 0 and vertex
+2^n - 1 - i is vertex i with its last coordinate raised to e.  Flipping
+coordinate alpha maps vertex v to v ^ (2^alpha - 1).  Even-indexed vertices
+form the positive half of the graded vector space, odd-indexed the negative
+half, and every cube edge joins vertices of opposite parity.  The vertex and
+edge tables are closed forms of this rule; the np.block recursion of g_matrix
+is the one independent route the checks compare them against.  All operator
+matrices act in block order: even vertices first, odd vertices second.
 """
 
 from functools import lru_cache
@@ -31,37 +35,37 @@ def _frozen(arr):
 
 @lru_cache(maxsize=None)
 def vertex_bits(n: int) -> np.ndarray:
-    """0/1 coordinate rows of the 2^n vertices, in recursive numbering order."""
+    """0/1 coordinate rows of the 2^n vertices: vertex v has the bits of its Gray code v ^ (v >> 1)."""
     _check_dim(n)
-    bits = np.array([[0], [1]], dtype=np.int64)
-    for _ in range(n - 1):
-        m = bits.shape[0]
-        low = np.hstack([bits, np.zeros((m, 1), dtype=np.int64)])
-        high = np.hstack([bits[::-1], np.ones((m, 1), dtype=np.int64)])
-        bits = np.vstack([low, high])
-    return _frozen(bits)
+    v = np.arange(2**n, dtype=np.int64)
+    return _frozen(((v ^ (v >> 1))[:, None] >> np.arange(n)) & 1)
+
+
+@lru_cache(maxsize=None)
+def _edge_table(n: int):
+    """g_matrix(n) as the sum of n signed permutations G_alpha, its edges along axis alpha: frozen (perm,
+    sign) of shape (n, 2^{n-1}), row i of G_alpha holding sign[alpha-1, i] in column perm[alpha-1, i].
+    Odd vertex 2i+1 meets even vertex 2 perm = (2i+1) ^ (2^alpha - 1) along axis alpha, and the
+    edge points even -> odd (sign +1) where bit alpha-1 of 2i+1 is set."""
+    _check_dim(n)
+    odd = 2 * np.arange(2 ** (n - 1), dtype=np.int64) + 1
+    axis = np.arange(n, dtype=np.int64)[:, None]  # alpha - 1
+    perm = (odd ^ ((2 << axis) - 1)) >> 1
+    sign = 2 * ((odd >> axis) & 1) - 1
+    return _frozen(perm), _frozen(sign)
 
 
 @lru_cache(maxsize=None)
 def oriented_edge_set(n: int) -> frozenset:
-    """Directed vertex-index pairs (i, j) meaning edge i -> j.
+    """Directed vertex-index pairs (i, j) meaning edge i -> j, read off _edge_table(n).
 
-    The orientation is defined recursively: the bottom face keeps the
-    (n-1)-cube orientation, vertical edges point bottom to top, and the top
-    face carries the mirrored bottom-face edges reversed.
+    Every edge points from the lower vertex index to the higher one: the two
+    indices differ in bits 0..alpha-1, and the higher one has bit alpha-1 set.
     """
-    _check_dim(n)
-    edges = {(0, 1)}
-    for k in range(2, n + 1):
-        top = 2**k - 1
-        new = set()
-        for i, j in edges:
-            new.add((i, j))
-            new.add((top - j, top - i))
-        for i in range(2 ** (k - 1)):
-            new.add((i, top - i))
-        edges = new
-    return frozenset(edges)
+    perm, sign = _edge_table(n)
+    odd, even, up = 2 * np.arange(perm.shape[1]) + 1, 2 * perm, sign > 0  # up: even -> odd
+    tail, head = np.where(up, even, odd), np.where(up, odd, even)
+    return frozenset(zip(tail.ravel().tolist(), head.ravel().tolist()))
 
 
 def oriented_edges(n: int) -> np.ndarray:
@@ -70,26 +74,17 @@ def oriented_edges(n: int) -> np.ndarray:
     Row i corresponds to odd vertex 2i+1, column j to even vertex 2j.  Entry +1
     records the edge even -> odd, -1 the reverse, 0 no edge.
     """
-    _check_dim(n)
-    m = 2 ** (n - 1)
-    entries = np.zeros((m, m), dtype=np.int64)
-    for u, v in oriented_edge_set(n):
-        if u % 2 == 0:  # even -> odd
-            entries[v // 2, u // 2] = 1
-        else:  # odd -> even
-            entries[u // 2, v // 2] = -1
+    perm, sign = _edge_table(n)
+    entries = np.zeros((perm.shape[1],) * 2, dtype=np.int64)
+    entries[np.arange(perm.shape[1]), perm] = sign
     return _frozen(entries)
 
 
 @lru_cache(maxsize=None)
 def x_matrix(n: int) -> np.ndarray:
-    """Block-swap involution of size 2^{n-1} (exact integer entries)."""
+    """Block-swap involution of size 2^{n-1}, the reversal (exact integer entries)."""
     _check_dim(n)
-    if n == 1:
-        return _frozen(np.array([[1]], dtype=np.int64))
-    x = x_matrix(n - 1)
-    z = np.zeros_like(x)
-    return _frozen(np.block([[z, x], [x, z]]))
+    return _frozen(np.eye(2 ** (n - 1), dtype=np.int64)[::-1].copy())
 
 
 @lru_cache(maxsize=None)
@@ -101,21 +96,6 @@ def g_matrix(n: int) -> np.ndarray:
     g = g_matrix(n - 1)
     x = x_matrix(n - 1)
     return _frozen(np.block([[g, -x], [x, g]]))
-
-
-@lru_cache(maxsize=None)
-def _edge_table(n: int):
-    """g_matrix(n) as the sum of n signed permutations G_alpha, its edges along axis alpha: frozen (perm,
-    sign) of shape (n, 2^{n-1}), row i of G_alpha holding sign[alpha-1, i] in column perm[alpha-1, i].
-    With R the reversal x_matrix(n-1), G_alpha(n) = I_2 (x) G_alpha(n-1) and G_n(n) = [[0, -R], [R, 0]]."""
-    _check_dim(n)
-    if n == 1:
-        return _frozen(np.zeros((1, 1), dtype=np.int64)), _frozen(np.ones((1, 1), dtype=np.int64))
-    perm, sign = _edge_table(n - 1)
-    h = perm.shape[1]
-    perm = np.vstack([np.hstack([perm, perm + h]), np.arange(2 * h - 1, -1, -1)])
-    sign = np.vstack([np.hstack([sign, sign]), np.repeat(np.array([-1, 1]), h)])
-    return _frozen(perm), _frozen(sign)
 
 
 def u_matrix(n: int) -> np.ndarray:

@@ -131,7 +131,8 @@ def interval_projection(k: int) -> ProjectionSpec:
     """Closed box [0, 3^-k] on the line, the standard pairing test projection."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return ProjectionSpec(regions=(closed_box([0.0], [3.0**-k]),))
+    # 3.0**-k is 0.0 from k = 679 on, a width index_pairing refuses; a k past 10^308 is no float
+    return ProjectionSpec(regions=(closed_box([0.0], [3.0 ** -min(k, 1024)]),))
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,8 @@ def lifted_cantor() -> IfsSystem:
     return _digit_maps([(0, 2), (0,)], "lifted_cantor")
 
 
-def carpet_index_set(n: int):
-    """Map indices 0..3^n-1 whose ternary expansion has at most one digit equal to 1."""
-    return [s for s, d in enumerate(_digit_vectors([(0, 1, 2)] * n)) if _carpet(d)]
-
-
 def sc(n: int) -> IfsSystem:
-    """Carpet-family construction: ratio 1/3 with the hole pattern of the index set."""
+    """Carpet-family construction: ratio-1/3 copies at the ternary digit vectors with at most one 1."""
     if n < 2:
         raise ValueError("the carpet family needs n >= 2")
     _check_dim(n)

@@ -495,6 +495,7 @@ def test_verify_takes_only_max_n(capsys, tmp_path, monkeypatch):
         ["integrate", "--preset", "cantor_set", "--function", "1e308*10"],
         ["integrate", "--preset", "cantor_set", "--function", "1e308*10", "--format", "csv"],
         ["integrate", "--preset", "cantor_set", "--function", "0 - 1e308*10", "--format", "text"],
+        ["pairing", "--preset", "cantor_set", "--pk", "1" + "0" * 400],  # 3.0**-k overflowed
     ],
 )
 def test_usage_errors_are_json_invalid_input(capsys, argv):

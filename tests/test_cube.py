@@ -8,6 +8,7 @@ from fractal_dirac import (
     grading,
     oriented_edges,
 )
+from fractal_dirac.calculus import _coordinate_perm
 from fractal_dirac.cube import _edge_table, oriented_edge_set, u_matrix, vertex_bits, x_matrix
 
 G2 = np.array([[1, -1], [1, 1]])
@@ -30,18 +31,54 @@ def test_vertex_numbering_cube():
     np.testing.assert_array_equal(vertex_bits(3), expected)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_vertex_recursion_invariants(n):
+    # the mirror recursion that defines the numbering, against the closed Gray-code table
     bits = vertex_bits(n)
     prev = vertex_bits(n - 1)
     half = 2 ** (n - 1)
     # first half embeds the lower-dimensional table at last coordinate 0
     np.testing.assert_array_equal(bits[:half, :-1], prev)
     assert np.all(bits[:half, -1] == 0)
-    # mirror rule: vertex 2^n - 1 - i is vertex i with last coordinate raised
-    for i in range(half):
-        np.testing.assert_array_equal(bits[2**n - 1 - i, :-1], bits[i, :-1])
-        assert bits[2**n - 1 - i, -1] == 1
+    # mirror rule: vertex 2^n - 1 - i is vertex i with last coordinate raised (row i of bits[::-1])
+    np.testing.assert_array_equal(bits[::-1][:half, :-1], bits[:half, :-1])
+    assert np.all(bits[::-1][:half, -1] == 1)
+
+
+def _recursive_orientation(n):
+    """The bottom face keeps the (n-1)-cube orientation, vertical edges point bottom to top, and
+    the top face carries the mirrored bottom-face edges reversed."""
+    edges = {(0, 1)}
+    for k in range(2, n + 1):
+        top = 2**k - 1
+        edges = ({(i, j) for i, j in edges} | {(top - j, top - i) for i, j in edges}
+                 | {(i, top - i) for i in range(2 ** (k - 1))})
+    return edges
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_recursive_orientation_equals_oriented_edge_set(n):
+    assert oriented_edge_set(n) == _recursive_orientation(n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_reversal_recursion_equals_x_matrix(n):
+    # X(1) = [1] and X(n) = [[0, X(n-1)], [X(n-1), 0]]
+    x = np.array([[1]], dtype=np.int64)
+    for _ in range(n - 1):
+        z = np.zeros_like(x)
+        x = np.block([[z, x], [x, z]])
+    assert x_matrix(n).dtype == x.dtype
+    np.testing.assert_array_equal(x_matrix(n), x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_tables_are_frozen_int64(n):
+    tables = [vertex_bits(n), x_matrix(n), g_matrix(n), oriented_edges(n), *_edge_table(n)]
+    tables += [a for alpha in range(1, n + 1) for a in _coordinate_perm(n, alpha)]
+    for table in tables:
+        assert table.dtype == np.int64
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -80,7 +117,7 @@ def test_oriented_edges_degree(n):
         assert (u + v) % 2 == 1
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_sign_pattern_matches_edge_matrix(n):
     np.testing.assert_array_equal(np.sign(g_matrix(n)), oriented_edges(n))
 

@@ -28,7 +28,7 @@ from fractal_dirac import presets
 from fractal_dirac.cube import vertex_bits
 from fractal_dirac.errors import CapacityError
 from fractal_dirac.ifs import PlacedCube, _children, _root, iter_levels, word_count
-from fractal_dirac.presets import carpet_index_set, lifted_carpet, non_osc
+from fractal_dirac.presets import lifted_carpet, non_osc, sc
 
 
 def test_compose_empty_word_is_identity():
@@ -288,11 +288,9 @@ def test_vertex_closure_matches_similitude_images(name):
     assert vertex_closure_check(ifs) is closed
 
 
-def test_carpet_index_sets():
-    assert carpet_index_set(2) == [0, 1, 2, 3, 5, 6, 7, 8]
-    extra = [9, 11, 15, 17, 18, 19, 20, 21, 23, 24, 25, 26]
-    assert carpet_index_set(3) == sorted(carpet_index_set(2) + extra)
-    assert len(carpet_index_set(4)) == 2**3 * 6  # 2^(n-1) (n+2) with n=4
+def test_carpet_family_map_counts():
+    # ternary digit vectors with at most one digit 1: 2^n + n 2^(n-1) = 2^(n-1) (n+2)
+    assert all(sc(n).num_maps == 2 ** (n - 1) * (n + 2) for n in (2, 3, 4))
 
 
 def test_non_osc_preset_maps():
