@@ -15,7 +15,7 @@ from fractal_dirac import (
     coordinate_form,
     volume_element_abs,
 )
-from fractal_dirac.calculus import coordinate_values, custom_unitary_form
+from fractal_dirac.calculus import coordinate_values
 
 np.set_printoptions(linewidth=120, suppress=True)
 
@@ -46,11 +46,3 @@ for n, e in [(1, 1.0), (2, 1.0), (3, 3.0), (4, 0.5)]:
     expected = e**n / n ** (n / 2.0)
     dev = np.max(np.abs(block - expected * np.eye(2**n)))
     print(f"  n={n}, e={e}: scalar {block[0, 0]:.6f} (expected {expected:.6f}, dev {dev:.2g})")
-print()
-
-print("Any unitary block yields an odd involution, but a poor choice degrades")
-print("the calculus: with the identity block, all coordinates beyond the first")
-print("have vanishing commutator.")
-for alpha in (1, 2):
-    got = custom_unitary_form(np.eye(2), coordinate_values(2, alpha))
-    print(f"  axis {alpha}: max |entry| = {np.max(np.abs(got)):.3g}")

@@ -1,6 +1,6 @@
 """Combinatorial Fredholm modules and spectral triples on self-similar sets built on n-cubes.
 
-Second routes and internals are imported from their modules, e.g. calculus.matrix_abs.
+Second routes and internals are imported from their modules, e.g. calculus.placed_coordinate_form.
 """
 
 from .calculus import (

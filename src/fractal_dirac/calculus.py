@@ -5,8 +5,10 @@ first).  Its quantized differential is the commutator with the odd involution
 from :mod:`fractal_dirac.cube`, computed either directly or through the
 entrywise Hadamard formula over the signed adjacency.  Coordinate one-forms
 are signed permutations read off the cube's edge table; they satisfy a
-Clifford anticommutation relation, and their ordered product has a scalar
-absolute value, the volume element of the quantized calculus.
+Clifford anticommutation relation.  Their ordered product Gamma_n is a signed
+permutation, and the volume element, the ordered product P of the coordinate
+commutators, is +-c Gamma_n: its absolute value c I is read off the polar
+decomposition, the unitary factor +-Gamma_n known in closed form.
 """
 
 from functools import lru_cache
@@ -17,7 +19,6 @@ from .cube import _check_dim, _edge_table, _frozen, u_matrix, vertex_bits
 
 ORTHOGONALITY_TOL = 1e-9
 CLIFFORD_CAP = 10
-SCALAR_TOL = 1e-10
 
 
 def block_order(values) -> np.ndarray:
@@ -118,37 +119,30 @@ def clifford_check(n: int) -> float:
     return _clifford_residual(np.array(perm), np.array(sign))
 
 
-def matrix_abs(a: np.ndarray) -> np.ndarray:
-    """Operator absolute value sqrt(A* A) of a matrix or of each matrix of a stack (..., m, m).
-
-    A matrix whose A* A is a scalar multiple c I of the identity within
-    SCALAR_TOL gets sqrt(c) I; the others go to one stacked symmetric
-    eigendecomposition.
-    """
-    a = np.asarray(a)
-    h = np.ascontiguousarray(np.swapaxes(a.conj(), -1, -2)) @ a  # a copy: BLAS on stacks
-    m = h.shape[-1]
-    c = h[..., 0, 0].real
-    diag = np.arange(m)
-    off = np.abs(h)  # |h - c I|: the diagonal is written below
-    off[..., diag, diag] = np.abs(h[..., diag, diag] - c[..., None])
-    scalar = off.max(axis=(-2, -1)) <= SCALAR_TOL * np.maximum(1.0, np.abs(c))
-    out = np.sqrt(np.maximum(c, 0.0))[..., None, None] * np.eye(m)
-    if not np.all(scalar):
-        w, vecs = np.linalg.eigh(h[~scalar])
-        w = np.clip(w, 0.0, None)
-        out = out.astype(h.dtype)
-        out[~scalar] = (vecs * np.sqrt(w)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    return out
+def _polar_abs(n, prod, orientation):
+    """|P| = orientation Gamma_n^T P for P = orientation c Gamma_n, one 2^n x 2^n matrix or a stack: the
+    polar decomposition with its unitary factor in closed form (Higham, Functions of Matrices, ch. 8).
+    Gamma_n = gamma_1 ... gamma_n is composed from the _coordinate_perm tables (row i of AB is sign_A[i]
+    times row perm_A[i] of B) and applied as a row gather; orientation is +-1 or one sign per matrix."""
+    perm, sign = _coordinate_perm(n, 1)
+    for alpha in range(2, n + 1):
+        p, s = _coordinate_perm(n, alpha)
+        perm, sign = p[perm], sign * s[perm]
+    inv = np.argsort(perm)
+    return np.take(prod, inv, axis=-2) * (np.asarray(orientation)[..., None, None] * sign[inv, None])
 
 
 def volume_element_abs(n: int, edge_length: float = 1.0) -> np.ndarray:
-    """Absolute value of the ordered product of all coordinate commutators."""
+    """Absolute value Gamma_n^T P of the ordered product P = (e/sqrt(n))^n Gamma_n of all coordinate
+    commutators: P comes from commutator_direct (g_matrix's recursion), Gamma_n from the edge table,
+    so |P| is e^n / n^(n/2) I only if the two agree.  The edge must be positive and finite."""
     _check_dim(n, cap=CLIFFORD_CAP)
+    if not 0 < edge_length < np.inf:  # a negative edge at odd n would give -|P|
+        raise ValueError(f"edge length must be positive and finite, got {edge_length}")
     prod = np.eye(2**n)
     for alpha in range(1, n + 1):
         prod = prod @ commutator_direct(n, coordinate_values(n, alpha, edge_length))
-    return matrix_abs(prod)
+    return _polar_abs(n, prod, 1)
 
 
 def _check_orthogonal(t):
@@ -184,22 +178,3 @@ def placed_coordinate_form(cube, alpha: int) -> np.ndarray:
     acc = (t[..., alpha - 1, :] @ forms.reshape(n, -1)).reshape(e.shape + forms.shape[1:])
     acc *= (e / np.sqrt(n))[..., None, None]
     return acc
-
-
-def custom_unitary_form(u: np.ndarray, values) -> np.ndarray:
-    """Commutator of the off-diagonal operator built from an arbitrary unitary."""
-    u = np.asarray(u)
-    m = u.shape[0]
-    if u.shape != (m, m):
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(m)))
-    if not dev <= ORTHOGONALITY_TOL:
-        raise ValueError(f"matrix is not unitary within {ORTHOGONALITY_TOL:g} (deviation {dev:.3g})")
-    n = int(np.log2(m)) + 1
-    if 2 ** (n - 1) != m:
-        raise ValueError(f"unitary block size must be a power of two, got {m}")
-    f = block_order(_vertex_values(n, values))
-    op = np.zeros((2 * m, 2 * m), dtype=np.result_type(u, f))
-    op[:m, m:] = u.conj().T
-    op[m:, :m] = u
-    return op * f[None, :] - f[:, None] * op

@@ -181,11 +181,10 @@ def index_pairing(
         budget = default_budget()
     if depth + 1 > budget:  # before the per-depth table below
         raise BudgetExceededError(f"index pairing to depth {depth} exceeds the budget of {budget}")
-    edge = float(np.min(ifs.ratios)) ** depth
-    width = min(float(np.min(box.hi - box.lo)) for box in proj.regions)
-    if min(edge, width) <= 2 * MEMBERSHIP_TOL:  # one face's band would reach the next vertex
-        raise ValueError(f"membership is not decided at scale {min(edge, width):.3g} (smallest "
-                         f"edge at depth {depth} or narrowest region), at most 2 MEMBERSHIP_TOL")
+    scale, name = min((float(np.min(ifs.ratios)) ** depth, f"the smallest edge at depth {depth}"),
+                      (min(float(np.min(box.hi - box.lo)) for box in proj.regions), "the narrowest region"))
+    if scale <= 2 * MEMBERSHIP_TOL:  # one face's band would reach the next vertex
+        raise ValueError(f"membership is not decided at scale {scale:.3g} ({name}), at most 2 MEMBERSHIP_TOL")
     increments = [0] * (depth + 1)
     visited = 0
     # no word budget for the engine: pruning visits fewer cubes, counted here

@@ -17,7 +17,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .calculus import matrix_abs, placed_coordinate_form
+from .calculus import _polar_abs, placed_coordinate_form
 from .cube import g_matrix
 from .errors import BudgetExceededError, DivergenceError
 from .ifs import (
@@ -205,10 +205,10 @@ def quantized_volume_truncated(
 ) -> TraceReport:
     """Partial volume-trace sum built from actual per-word operator blocks.
 
-    For every word the operator absolute value of the ordered product of
-    placed coordinate commutators is formed, a whole iter_levels block at a
-    time, and must be scalar within BLOCK_TOL; the scalars feed the sum.
-    This exercises the matrix route rather than the closed scalar shortcut.
+    Per word the ordered product P of placed coordinate commutators is formed,
+    a whole iter_levels block at a time; |P|, read off its polar decomposition
+    P = det(T) Gamma_n |P|, must be scalar within BLOCK_TOL, and its [0, 0]
+    entries, P's own on Gamma_n's pattern, feed the sum: the matrix route.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -229,12 +229,12 @@ def quantized_volume_truncated(
 
 
 def _volume_block(cube):
-    """Operator absolute value of the ordered product of the placed coordinate
-    forms: one matrix for a single cube, one per row for a block."""
+    """|P| = det(T) Gamma_n^T P for the ordered product P = det(T) (e/sqrt(n))^n Gamma_n of the placed
+    coordinate forms (Lawson-Michelsohn, Spin Geometry, I.1-2): one matrix per cube or row of a block."""
     prod = placed_coordinate_form(cube, 1)
     for alpha in range(2, cube.n + 1):
         prod = prod @ placed_coordinate_form(cube, alpha)
-    return matrix_abs(prod)
+    return _polar_abs(cube.n, prod, np.sign(np.linalg.det(cube.transform)))
 
 
 def abs_volume_block_deviation(ifs: IfsSystem, depth: int, budget: int | None = None) -> float:

@@ -25,6 +25,14 @@ def random_orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def matrix_abs(a):
+    """Operator absolute value sqrt(A* A) of a matrix or of each matrix of a stack (..., m, m), by
+    a symmetric eigendecomposition: the dense oracle for the library's closed-form |P|."""
+    a = np.asarray(a)
+    w, vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)
+    return (vecs * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
 OSC_PRESETS = [
     "cantor_set",
     "cantor_dust2",

@@ -17,16 +17,16 @@ from fractal_dirac import (
 from fractal_dirac.calculus import (
     _clifford_residual,
     _coordinate_perm,
+    _polar_abs,
     block_order,
     coordinate_values,
-    custom_unitary_form,
-    matrix_abs,
     placed_coordinate_form,
 )
-from fractal_dirac.cube import _edge_table, f_matrix, g_matrix, u_matrix, vertex_bits, x_matrix
+from fractal_dirac.cube import _edge_table, f_matrix, g_matrix, vertex_bits, x_matrix
 from fractal_dirac.ifs import iter_levels
+from fractal_dirac.spectral import _volume_block
 
-from conftest import random_orthogonal
+from conftest import matrix_abs, random_orthogonal
 
 E11 = np.array([[0, 1], [-1, 0]])
 E21 = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
@@ -233,6 +233,17 @@ def test_clifford_residual_of_a_corrupted_form_equals_dense(corrupt):
     assert residual == _dense_anticommutator_residual([_scatter(p, s) for p, s in zip(perm, sign)])
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gamma_table_is_the_dense_product_of_the_forms(n):
+    # the polar factor's rows are gathered by Gamma_n's (perm, sign) table: for a signed
+    # permutation table, Gamma^T G = I exactly holds only if G is Gamma, here the dense product
+    gamma = np.eye(2**n)
+    for alpha in range(1, n + 1):
+        gamma = gamma @ coordinate_form(n, alpha)
+    assert np.array_equal(_polar_abs(n, gamma, 1), np.eye(2**n))
+    assert np.array_equal(_polar_abs(n, np.stack([gamma, -gamma]), [1, -1]), np.stack([np.eye(2**n)] * 2))
+
+
 def test_volume_element_values():
     np.testing.assert_allclose(volume_element_abs(1, 1.0), np.eye(2), atol=1e-14)
     np.testing.assert_allclose(volume_element_abs(2, 1.0), 0.5 * np.eye(4), atol=1e-14)
@@ -241,11 +252,14 @@ def test_volume_element_values():
 
 
 def test_matrix_abs_scalar_fast_path():
+    # a scaled rotation c Gamma_1: the dense eigh oracle and the polar factor both give c I
     a = 2.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
     np.testing.assert_allclose(matrix_abs(a), 2.5 * np.eye(2), atol=1e-14)
+    assert np.array_equal(_polar_abs(1, a, 1), 2.5 * np.eye(2))
 
 
 def test_matrix_abs_general(rng):
+    # the dense eigh oracle of the tests on general matrices
     for dtype in (float, complex):
         a = rng.standard_normal((5, 5)).astype(dtype)
         if dtype is complex:
@@ -346,21 +360,16 @@ def test_placed_volume_block_is_scalar(rng, n):
 
 
 @pytest.mark.parametrize("name", ["rotation:0.7", "menger_sponge"])
-def test_block_forms_and_abs_equal_their_single_cube_rows(rng, name):
+def test_block_forms_and_abs_equal_their_single_cube_rows(name):
     block = list(iter_levels(preset(name), 2))[-1]
-    n, m = block.n, 2**block.n
+    n = block.n
     forms = [placed_coordinate_form(block, alpha) for alpha in range(1, n + 1)]
     for i in range(block.e_w.size):
         for alpha in range(1, n + 1):
             assert np.array_equal(forms[alpha - 1][i], placed_coordinate_form(block.rows(i), alpha))
-    prods = forms[0]
-    for form in forms[1:]:
-        prods = prods @ form
-    prods[1] = rng.standard_normal((m, m))  # a row that misses the scalar test: eigh
-    stacked = matrix_abs(prods)
-    assert not np.allclose(stacked[1], stacked[1, 0, 0] * np.eye(m))
+    stacked = _volume_block(block)
     for i in range(block.e_w.size):
-        assert np.array_equal(stacked[i], matrix_abs(prods[i]))
+        assert np.array_equal(stacked[i], _volume_block(block.rows(i)))
 
 
 def test_commutator_norm_scales_linearly_with_edge():
@@ -372,41 +381,18 @@ def test_commutator_norm_scales_linearly_with_edge():
     np.testing.assert_allclose(norms[0], 1.0 / np.sqrt(3), rtol=1e-12)
 
 
-def test_custom_unitary_reproduces_default():
-    for n in (1, 2, 3):
-        f = np.linspace(0.0, 1.0, 2**n)
-        np.testing.assert_allclose(
-            custom_unitary_form(u_matrix(n), f),
-            commutator_direct(n, f),
-            atol=1e-13,
-        )
-
-
-def test_identity_unitary_kills_higher_coordinates():
-    for n in (2, 3):
-        eye = np.eye(2 ** (n - 1))
-        for alpha in range(2, n + 1):
-            got = custom_unitary_form(eye, coordinate_values(n, alpha))
-            np.testing.assert_allclose(got, 0.0, atol=1e-15)
-        first = custom_unitary_form(eye, coordinate_values(n, 1))
-        assert np.max(np.abs(first)) > 0.5
-
-
 def test_identity_unitary_coordinate_cancellation_reason():
-    # with the identity block, paired even/odd vertices agree in every
-    # coordinate except the first, so only that commutator survives
+    # in the mirror numbering, the paired even and odd vertices 2i and 2i + 1 agree in
+    # every coordinate except the first
     for n in (2, 3):
         bits = vertex_bits(n)
         np.testing.assert_array_equal(bits[0::2, 1:], bits[1::2, 1:])
 
 
 def test_non_unitary_rejected():
-    for u in ([[1.0, 0.0], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]]):
-        with pytest.raises(ValueError):
-            custom_unitary_form(np.array(u), np.zeros(4))
-    sheared = _placed(1.0, np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
-    with pytest.raises(ValueError):
-        placed_coordinate_form(sheared, 1)
+    for t in ([[1.0, 0.2], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):  # sheared, NaN
+        with pytest.raises(ValueError, match="not orthogonal"):
+            placed_coordinate_form(_placed(1.0, np.array(t), np.zeros(2)), 1)
 
 
 def test_argument_errors():
@@ -427,3 +413,11 @@ def test_argument_errors():
         placed_coordinate_form(_placed(1.0, np.eye(3), np.zeros(2)), 1)
     with pytest.raises(ValueError):
         placed_coordinate_form(_placed(0.0, np.eye(2), np.zeros(2)), 1)
+
+
+@pytest.mark.parametrize("e", [0.0, -1.0, np.nan, np.inf])
+def test_volume_element_refuses_an_edge_that_is_not_positive_and_finite(e):
+    # -|P| at odd n for a negative edge; a NaN or infinite edge has no volume element
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="edge length must be positive and finite"):
+            volume_element_abs(n, e)

@@ -507,6 +507,17 @@ def test_usage_errors_are_json_invalid_input(capsys, argv):
     assert json.loads(lines[0])["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("argv,scale", [
+    (["--pk", "679"], "0 (the narrowest region)"),  # 3.0**-679 is 0.0: a region of zero width
+    (["--pk", "40", "--depth", "0"], "3.05e-21 (the smallest edge at depth 43)"),
+])
+def test_undecided_pairing_names_the_scale_that_failed(capsys, argv, scale):
+    code, out, err = run_cli(capsys, "pairing", "--preset", "cantor_set", *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (
+        f"membership is not decided at scale {scale}, at most 2 MEMBERSHIP_TOL")
+
+
 NAN_SYSTEM = {"n": 1, "maps": [{"ratio": 0.5, "matrix": [1.0], "translation": [float("nan")]},
                                {"ratio": 0.5, "matrix": [1.0], "translation": [0.5]}]}
 CARPET = ["pairing", "--preset", "sierpinski_carpet"]

@@ -31,14 +31,17 @@ from fractal_dirac import (
     zeta_truncated,
 )
 from fractal_dirac import calculus, spectral
-from fractal_dirac.ifs import LEVEL_CHUNK, iter_levels
+from fractal_dirac.ifs import LEVEL_CHUNK, Similitude, iter_levels
 from fractal_dirac.presets import non_osc
 from fractal_dirac.spectral import (
     _residue_limit,
+    _volume_scalar,
     abs_volume_block_deviation,
     residue_limit_samples,
     volume_residue_samples,
 )
+
+from conftest import random_orthogonal
 
 LOG2 = math.log(2.0)
 
@@ -296,6 +299,28 @@ def _volume_per_cube(ifs, p, depth):
     return total
 
 
+def _rotated_and_reflected(rng, n):
+    """Three maps of ratio 1/(2 sqrt n) about the centre: a random rotation (det 1), a random
+    reflection (det -1) and the reflection in the first axis."""
+    mats = [random_orthogonal(rng, n) for _ in range(2)] + [np.diag([-1.0] + [1.0] * (n - 1))]
+    for m, det in zip(mats, (1.0, -1.0)):
+        m[0] *= det * np.sign(np.linalg.det(m))
+    ratio = 0.5 / np.sqrt(n)
+    return IfsSystem(n, tuple(Similitude(ratio, m, 0.5 - ratio * m.sum(axis=1) / 2) for m in mats))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_volume_blocks_of_rotated_and_reflected_maps_match_eigh(rng, n):
+    # det(T) = -1 flips P = det(T) c Gamma_n; the polar factor must carry that sign
+    ifs = _rotated_and_reflected(rng, n)
+    assert sorted(np.sign(np.linalg.det(ifs.matrices))) == [-1.0, -1.0, 1.0]
+    got = quantized_volume_truncated(ifs, 0.7, 3).value
+    assert got == pytest.approx(_volume_per_cube(ifs, 0.7, 3), rel=1e-15)
+    for block in iter_levels(ifs, 3):
+        scalar = _volume_scalar(n, block.e_w)[:, None, None] * np.eye(2**n)
+        np.testing.assert_allclose(spectral._volume_block(block), scalar, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "name,depth", [("rotation:0.7", 4), ("menger_sponge", 2), ("sc3", 1), ("cantor_dust2", 4)]
 )
@@ -318,16 +343,24 @@ def _stretch_first_form(monkeypatch, delta):
     monkeypatch.setattr(calculus, "coordinate_form", form)
 
 
-def test_volume_rows_off_the_scalar_test_go_through_matrix_abs(monkeypatch):
-    # with delta = 1e-10 only the root block (e = 1) misses SCALAR_TOL = 1e-10;
-    # its |P| deviates by 1e-10, within BLOCK_TOL, so it is accepted
-    _stretch_first_form(monkeypatch, 1e-10)
+def test_volume_routines_read_the_polar_factor_without_eigh(monkeypatch):
+    # |P| comes from the closed-form polar factor det(T) Gamma_n, never from an eigendecomposition;
+    # with delta = 1e-10 the root block's |P| deviates by 1e-10, within BLOCK_TOL, so it is accepted
     cs = cantor_set()
-    exact_eigh, stacks = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: stacks.append(h.shape) or exact_eigh(h))
-    got = quantized_volume_truncated(cs, 0.7, 3).value
-    assert stacks == [(1, 2, 2)]
-    assert got == _volume_per_cube(cs, 0.7, 3)
+    expected = _volume_per_cube(cs, 0.7, 3)
+    _stretch_first_form(monkeypatch, 1e-10)
+
+    def no_eigh(h):
+        raise RuntimeError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert quantized_volume_truncated(cs, 0.7, 3).value == expected
+    assert 0.0 < abs_volume_block_deviation(cs, 3) <= 2e-10
+    vol = _volume_scalar(3, 0.5) * np.eye(8)
+    np.testing.assert_allclose(calculus.volume_element_abs(3, 0.5), vol, rtol=1e-15, atol=0)
+    _stretch_first_form(monkeypatch, 1e-8)  # stacked on the 1e-10 stretch: still off BLOCK_TOL
+    with pytest.raises(AssertionError, match=r"block at word \[\] is not scalar within 1e-09"):
+        quantized_volume_truncated(cs, 0.7, 3)
 
 
 def test_volume_block_off_scalar_names_its_word(monkeypatch):
