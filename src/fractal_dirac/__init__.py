@@ -10,7 +10,7 @@ from .calculus import (
     coordinate_form,
     volume_element_abs,
 )
-from .components import ComponentReport, level_one_components
+from .components import ComponentReport, level_one_components, vertex_closure_check
 from .cube import f_matrix, g_matrix, grading, oriented_edges
 from .errors import BudgetExceededError, CapacityError, DivergenceError, FractalDiracError
 from .ifs import (
@@ -22,7 +22,6 @@ from .ifs import (
     load_ifs,
     save_ifs,
     similarity_dimension,
-    vertex_closure_check,
 )
 from .ktheory import (
     Box,

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from . import _verify
-from .components import level_one_components
+from .components import level_one_components, vertex_closure_check
 from .errors import BudgetExceededError, DivergenceError
-from .ifs import _json_text, default_budget, load_ifs, similarity_dimension, vertex_closure_check
+from .ifs import _json_text, default_budget, load_ifs, similarity_dimension
 from .ktheory import (
     component_certificate,
     connes_gap_pairing,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cube import vertex_bits
 from .errors import CapacityError
-from .ifs import IfsSystem, _children, _root
+from .ifs import CONTAINMENT_TOL, IfsSystem, _children, _root
 
 INTERSECT_TOL = 1e-9
 PARALLEL_TOL = 1e-12  # edges this close up to sign give one direction for the normals
@@ -80,32 +80,50 @@ class ComponentReport:
         return len(self.components)
 
 
+def _near_boxes(a, b, pad):
+    """Index arrays (i, j) of the point-set stacks a (A, k, n) and b (B, l, n) whose boxes come
+    within pad on every axis, as rounded differences of bounds; in row chunks no larger than a."""
+    (lo, hi), (lo2, hi2) = (a.min(axis=1), a.max(axis=1)), (b.min(axis=1), b.max(axis=1))
+    step = max(1, a.size // lo2.size)
+    near = [np.argwhere(np.all((lo[k: k + step, None] - hi2 <= pad)
+                               & (lo2 - hi[k: k + step, None] <= pad), axis=2)) + [k, 0]
+            for k in range(0, len(lo), step)]
+    return np.concatenate(near).T
+
+
 def level_one_components(ifs: IfsSystem) -> ComponentReport:
     """Components of the original vertices united with the level-one cube images."""
     cubes = _children(ifs, _root(ifs))  # row s - 1 for symbol s
-    corners = vertex_bits(ifs.n).astype(float)
-    m = ifs.num_maps
-    parent = list(range(m + len(corners)))  # cubes, then vertices; a root is its least item
-
-    def root(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    links = [(i, j) for i, j in np.transpose(np.triu_indices(m, 1)).tolist()
-             if cubes_intersect(cubes.rows(i), cubes.rows(j))]
-    vertex, cube = np.nonzero(point_in_cube(cubes, corners).T)
-    links += zip(cube.tolist(), (m + vertex).tolist())
-    for i, j in links:
-        low, high = sorted((root(i), root(j)))
-        parent[high] = low
-    groups = {}
-    for item in range(len(parent)):
-        groups.setdefault(root(item), []).append(item)
+    images, corners, m = cubes.vertices, vertex_bits(ifs.n).astype(float), ifs.num_maps
+    # Both exact tests widen a cube by INTERSECT_TOL along its own axes, so its box by at most
+    # sqrt(n) INTERSECT_TOL a side (a row of T has 1-norm <= sqrt(n)): a pad above 2 sqrt(n)
+    # INTERSECT_TOL keeps every pair they accept (n = 1 accepts exactly 2 INTERSECT_TOL apart)
+    pad = 3 * math.sqrt(ifs.n) * INTERSECT_TOL  # the excess over 2 covers float rounding
+    i, j = _near_boxes(images, images, pad)
+    meet = [a < b and cubes_intersect(cubes.rows(a), cubes.rows(b))
+            for a, b in zip(i.tolist(), j.tolist())]
+    cube, vertex = _near_boxes(images, corners[:, None], pad)
+    inside = point_in_cube(cubes.rows(cube), corners[vertex, None])[:, 0]
+    links = np.r_[np.c_[i, j][meet], np.c_[cube, m + vertex][inside]]  # items: cubes, then vertices
+    label, old = np.arange(m + len(corners)), None
+    while old is None or (label != old).any():  # till each item holds its component's least item
+        old = label.copy()
+        np.minimum.at(label, links.ravel(), old[links[:, ::-1].ravel()])
+        label = label[label]
+    order = np.argsort(label, kind="stable")
     components = []
-    for members in groups.values():
-        verts = tuple(i - m for i in members if i >= m)
+    for members in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        verts = tuple(i - m for i in members.tolist() if i >= m)
         d1 = sum(v % 2 for v in verts)
-        components.append(Component(cubes=tuple(i + 1 for i in members if i < m),
+        components.append(Component(cubes=tuple(i + 1 for i in members.tolist() if i < m),
                                     vertices=verts, d0=len(verts) - d1, d1=d1))
     return ComponentReport(n=ifs.n, components=tuple(components))
+
+
+def vertex_closure_check(ifs: IfsSystem) -> bool:
+    """True iff every unit-cube vertex is the image of a vertex under some map: scanned against
+    the cubes whose box holds it within CONTAINMENT_TOL, as each box holds its cube's vertices."""
+    images, corners = _children(ifs, _root(ifs)).vertices, vertex_bits(ifs.n).astype(float)
+    cube, corner = _near_boxes(images, corners[:, None], CONTAINMENT_TOL)
+    hit = np.abs(images[cube] - corners[corner, None]).max(axis=2).min(axis=1) <= CONTAINMENT_TOL
+    return bool(np.bincount(corner[hit], minlength=len(corners)).all())

@@ -8,6 +8,7 @@ bounded memory; a configurable budget bounds the number of placed cubes visited.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -65,9 +66,6 @@ class Similitude:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.ratio * (np.asarray(x, dtype=float) @ self.matrix.T) + self.translation
 
 
 @dataclass(frozen=True)
@@ -167,6 +165,11 @@ def word_count(num_symbols: int, depth: int) -> int:
     return (num_symbols ** (depth + 1) - 1) // (num_symbols - 1)
 
 
+def _shown(k: int) -> str:
+    """An integer for a message: in full below 10^15, else by its order of magnitude."""
+    return str(k) if k < 10**15 else f"~10^{math.log10(k):.0f}"
+
+
 def _check_budget(ifs, depth, budget):
     """Refuse more than budget words of length <= depth.  There are at least
     2^depth of them when N >= 2, so the exact count is formed only for a depth
@@ -178,9 +181,9 @@ def _check_budget(ifs, depth, budget):
         if total <= budget:
             return
     else:
-        total = f"at least 2^{depth}"
+        total = f"at least 2^{_shown(depth)}"
     raise BudgetExceededError(
-        f"enumerating {total} words of depth <= {depth} exceeds the budget of {budget}"
+        f"enumerating {total} words of depth <= {_shown(depth)} exceeds the budget of {budget}"
     )
 
 
@@ -246,16 +249,6 @@ def similarity_dimension(ifs: IfsSystem) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def vertex_closure_check(ifs: IfsSystem) -> bool:
-    """True iff every unit-cube vertex is the image of a vertex under some map."""
-    corners = vertex_bits(ifs.n).astype(float)
-    images = _children(ifs, _root(ifs)).vertices.reshape(-1, ifs.n)
-    for v in corners:
-        if np.min(np.max(np.abs(images - v), axis=1)) > CONTAINMENT_TOL:
-            return False
-    return True
 
 
 def to_json_dict(ifs: IfsSystem) -> dict:

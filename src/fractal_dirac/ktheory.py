@@ -18,7 +18,7 @@ import numpy as np
 from .components import ComponentReport, level_one_components
 from .cube import vertex_bits
 from .errors import BudgetExceededError
-from .ifs import IfsSystem, _children, _json_text, _root, _sweep, default_budget
+from .ifs import IfsSystem, _children, _json_text, _root, _shown, _sweep, default_budget
 
 MEMBERSHIP_TOL = 1e-12
 STABILITY_WINDOW = 3  # final depths whose increments must all vanish
@@ -180,7 +180,7 @@ def index_pairing(
     if budget is None:
         budget = default_budget()
     if depth + 1 > budget:  # before the per-depth table below
-        raise BudgetExceededError(f"index pairing to depth {depth} exceeds the budget of {budget}")
+        raise BudgetExceededError(f"index pairing to depth {_shown(depth)} exceeds the budget of {budget}")
     scale, name = min((float(np.min(ifs.ratios)) ** depth, f"the smallest edge at depth {depth}"),
                       (min(float(np.min(box.hi - box.lo)) for box in proj.regions), "the narrowest region"))
     if scale <= 2 * MEMBERSHIP_TOL:  # one face's band would reach the next vertex
@@ -264,28 +264,24 @@ def component_projection(ifs: IfsSystem, report, index: int) -> ProjectionSpec:
     point-set separation from every other component."""
     corners = vertex_bits(ifs.n).astype(float)
     images = _children(ifs, _root(ifs)).vertices  # row s - 1: the cube of symbol s
-
-    def points_of(comp):
-        pts = images[np.array(comp.cubes, dtype=int) - 1].reshape(-1, ifs.n)
-        return np.vstack([pts, corners[list(comp.vertices)]])
-
-    mine = points_of(report.components[index])
+    comp = report.components[index]
+    own = [s - 1 for s in comp.cubes] + [len(images) + v for v in comp.vertices]  # item rows
+    mine = np.vstack([images[np.array(comp.cubes, dtype=int) - 1].reshape(-1, ifs.n),
+                      corners[list(comp.vertices)]])
+    lo, hi = np.vstack([images.min(axis=1), corners]), np.vstack([images.max(axis=1), corners])
+    # the other cubes and vertices, nearest box first: a box gap bounds the point distances
+    # below, so the first gap past the best distance ends the scan
+    gap = np.linalg.norm(np.maximum(np.maximum(lo - mine.max(0), mine.min(0) - hi), 0.0), axis=1)
+    gap[own] = np.inf  # the component's own items sort last and are left out
     min_dist = np.inf
-    for other_idx, other in enumerate(report.components):
-        if other_idx == index:
-            continue
-        pts = points_of(other)
+    for k in np.argsort(gap, kind="stable")[: len(gap) - len(own)]:
+        if gap[k] > min_dist + 1e-12:  # past the rounding of both, coordinates in [0, 1], n <= 12
+            break
+        pts = images[k] if k < len(images) else corners[k - len(images), None]
         dists = np.linalg.norm(mine[:, None, :] - pts[None, :, :], axis=2)
         min_dist = min(min_dist, float(dists.min()))
     margin = 0.01 if not np.isfinite(min_dist) else min_dist / 4.0
-    comp = report.components[index]
-    boxes = []
-    for s in comp.cubes:
-        verts = images[s - 1]
-        boxes.append(closed_box(verts.min(axis=0) - margin, verts.max(axis=0) + margin))
-    for v in comp.vertices:
-        boxes.append(closed_box(corners[v] - margin, corners[v] + margin))
-    return ProjectionSpec(regions=tuple(boxes))
+    return ProjectionSpec(regions=tuple(closed_box(lo[k] - margin, hi[k] + margin) for k in own))
 
 
 def connes_gap_pairing(k: int, depth: int) -> int:

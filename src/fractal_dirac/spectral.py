@@ -23,6 +23,7 @@ from .errors import BudgetExceededError, DivergenceError
 from .ifs import (
     LEVEL_CHUNK,
     IfsSystem,
+    _shown,
     default_budget,
     iter_levels,
     iter_placed,  # no caller here; perfbench reads spectral.iter_placed
@@ -94,7 +95,7 @@ def _tail(ifs, h, t, depth):
     c = _ratio_power_sum(ifs, t)
     if c >= 1.0:
         return None
-    return _scale(ifs.n, h, t) * c ** (depth + 1) / (1.0 - c)
+    return _scale(ifs.n, h, t) * c ** min(depth + 1, 2**63 - 1) / (1.0 - c)  # 0.0 from there
 
 
 def _volume_scalar(n, e):
@@ -141,11 +142,11 @@ def zeta_truncated(ifs: IfsSystem, p: float, depth: int, budget: int | None = No
     c = _ratio_power_sum(ifs, p)
     budget = default_budget() if budget is None else budget
     terms = depth + 1  # the power form stops at its first term of 0.0; c >= 1 has none
-    if c < 1.0:
-        terms = bisect_left(range(depth + 1), True, key=lambda j: c**j == 0.0)
+    if c < 1.0:  # c <= 1 - 2^-53 makes c**j 0.0 before j = 2^63 - 1, the longest range
+        terms = bisect_left(range(min(depth + 1, 2**63 - 1)), True, key=lambda j: c**j == 0.0)
     if terms > budget:
         raise BudgetExceededError(
-            f"the power form at p={p} would sum {terms} level terms, over the budget of {budget}")
+            f"the power form at p={p} would sum {_shown(terms)} level terms, over the budget of {budget}")
     try:  # for c < 1 every term after the first 0.0 is 0.0
         value = 2**ifs.n * math.fsum(takewhile(bool, (c**j for j in range(depth + 1))))
     except OverflowError:
@@ -280,8 +281,8 @@ def integrate_hausdorff(
     budget = default_budget() if budget is None else budget
     if spec.sample_count * max(1, spec.depth) > budget:  # the placed cubes the samples visit
         raise BudgetExceededError(
-            f"drawing {spec.sample_count} sample words of depth {spec.depth} exceeds the "
-            f"budget of {budget} placed cubes")
+            f"drawing {_shown(spec.sample_count)} sample words of depth {_shown(spec.depth)} "
+            f"exceeds the budget of {budget} placed cubes")
     # inverse-CDF draws, as Generator.choice(p=...) makes them, LEVEL_CHUNK rows at a time
     rng = np.random.default_rng(spec.seed)
     weights = ifs.ratios**dim

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fractal_dirac import presets
+from fractal_dirac import IfsSystem, Similitude, presets
+from fractal_dirac.components import INTERSECT_TOL
 
 # registry filled by the acceptance module; one line per criterion at session end
 ACCEPTANCE_LINES = []
@@ -47,12 +48,45 @@ OSC_PRESETS = [
 ALL_PRESETS = OSC_PRESETS + ["non_osc"]
 
 # systems on which the level-one layer meets its per-cube oracles: the fixed
-# presets, four rotation angles, the carpet family and the dusts to n = 6
+# presets, four rotation angles, the carpet family and the dusts to n = 7
 LEVEL_ONE_SYSTEMS = (
     ["cantor_set", "lifted_cantor", "sierpinski_carpet", "menger_sponge", "lifted_carpet",
      "rotation", "non_osc", "rotation:0", "rotation:0.5", "rotation:0.7", "rotation:1.3"]
     + [f"sc{n}" for n in range(2, 5)]
-    + [f"cantor_dust{n}" for n in range(1, 7)]
+    + [f"cantor_dust{n}" for n in range(1, 8)]
+)
+
+# gaps, in INTERSECT_TOL, at and around the 2 INTERSECT_TOL at which two widened cubes touch
+NEAR_GAPS = (0, 0.5, -0.5, 1, -1, 1.9, 2, 2.1, 3)
+
+
+def near_touching_pair(n, gap, rotated, seed=11):
+    """Two cubes of ratio 0.3 about the centre of the unit cube, gap INTERSECT_TOL apart
+    along their first edge; rotated: a seeded rotation near the identity (a reflection at n = 1)."""
+    t = np.eye(n)
+    if rotated:
+        q, r = np.linalg.qr(np.eye(n) + 0.1 * np.random.default_rng(seed).standard_normal((n, n)))
+        t = -t if n == 1 else q * np.sign(np.diag(r))
+    centres = [0.5 + side * (0.3 + gap * INTERSECT_TOL) / 2 * t[:, 0] for side in (-1, 1)]
+    maps = [Similitude(0.3, t, c - 0.3 * t @ np.full(n, 0.5)) for c in centres]
+    return IfsSystem(n, tuple(maps), label=f"pair{n}{'r' if rotated else 'a'}{gap}")
+
+
+def shifted_tiling(n, gap):
+    """The 2^n half cubes tiling the unit cube, the one at the origin moved gap INTERSECT_TOL
+    along the first axis: its vertex at the origin corner is then gap INTERSECT_TOL from it."""
+    shift = np.eye(n)[0] * gap * INTERSECT_TOL
+    maps = [Similitude(0.5, np.eye(n), 0.5 * np.array(b, float) + (shift if k == 0 else 0))
+            for k, b in enumerate(np.ndindex(*(2,) * n))]
+    return IfsSystem(n, tuple(maps), label=f"tiling{n}:{gap}")
+
+
+# seeded near-touching systems for n = 1, 2, 3: axis-aligned and rotated pairs, and
+# tilings whose origin vertex nears the corner within the containment tolerance
+NEAR_TOUCHING = (
+    [near_touching_pair(n, gap, rotated) for n in (1, 2, 3) for rotated in (False, True)
+     for gap in NEAR_GAPS]
+    + [shifted_tiling(n, gap) for n in (1, 2, 3) for gap in NEAR_GAPS if gap >= -1]
 )
 
 

@@ -91,6 +91,38 @@ def test_overflowing_partial_trace_is_invalid_input(capsys):
     assert json.loads(err)["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize("depth", [2**63 - 2, 2**63 - 1, 10**40, 10**400],
+                         ids=["2^63-2", "2^63-1", "10^40", "10^400"])
+def test_analyze_at_a_huge_depth_reads_as_a_deep_one(capsys, depth):
+    # the power form stops at its first term of 0.0, and the tail is 0.0 long before these
+    # depths, so zeta reads as at depth 10000 (from 2^63 - 1 on, once an OverflowError)
+    zeta = []
+    for d in (10000, depth):
+        code, out, err = run_cli(capsys, "analyze", "--preset", "cantor_set", "--depth", str(d))
+        assert (code, err) == (0, "")
+        zeta.append(json.loads(out)["zeta"])
+    assert [(z["truncated"], z["error_bound"]) for z in zeta][1:] == [(zeta[0]["truncated"], 0.0)]
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["pairing", "--preset", "cantor_set", "--pk", str(10**400), "--depth", "0"],
+     "index pairing to depth ~10^400 exceeds"),
+    (["integrate", "--preset", "cantor_set", "--function", "x1", "--depth", str(10**40)],
+     "enumerating at least 2^~10^40 words of depth <= ~10^40 exceeds"),
+    (["integrate", "--preset", "cantor_set", "--function", "x1", "--depth", str(10**40),
+      "--mode", "chaos_game"], "drawing 10000 sample words of depth ~10^40 exceeds"),
+    (["analyze", "--preset", "cantor_set", "-p", "0.5", "--depth", str(10**40)],
+     "the power form at p=0.5 would sum ~10^40 level terms"),
+])
+def test_budget_message_names_a_huge_depth_by_its_size(capsys, monkeypatch, argv, prefix):
+    monkeypatch.delenv("FRACTAL_DIRAC_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    doc = json.loads(err)
+    assert doc["kind"] == "budget-exceeded" and doc["error"].startswith(prefix)
+    assert len(err) < 160
+
+
 def test_budget_exceeded_exit_code(capsys):
     code, out, err = run_cli(
         capsys, "integrate", "--preset", "menger", "--function", "1", "--depth", "9",

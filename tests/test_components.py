@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import ALL_PRESETS, LEVEL_ONE_SYSTEMS, random_orthogonal
-from fractal_dirac import CapacityError, compose, level_one_components, preset
+from conftest import ALL_PRESETS, LEVEL_ONE_SYSTEMS, NEAR_TOUCHING, random_orthogonal
+from fractal_dirac import (
+    CapacityError,
+    compose,
+    components,
+    level_one_components,
+    preset,
+    vertex_closure_check,
+)
 from fractal_dirac.components import (
     INTERSECT_TOL,
     Component,
@@ -12,7 +19,7 @@ from fractal_dirac.components import (
     point_in_cube,
 )
 from fractal_dirac.cube import vertex_bits
-from fractal_dirac.ifs import PlacedCube, _children, _root
+from fractal_dirac.ifs import CONTAINMENT_TOL, PlacedCube, _children, _root
 
 
 def _placed_cube(offset, e_w, n=2, transform=None):
@@ -231,6 +238,51 @@ def _level_one_oracle(ifs):
 def test_level_one_components_match_per_cube_oracle(name):
     ifs = preset(name)
     assert level_one_components(ifs) == _level_one_oracle(ifs)
+
+
+def _closure_oracle(ifs):
+    """The all-vertex scan: every cube corner against every vertex image."""
+    corners = vertex_bits(ifs.n).astype(float)
+    images = _children(ifs, _root(ifs)).vertices.reshape(-1, ifs.n)
+    return all(np.min(np.max(np.abs(images - v), axis=1)) <= CONTAINMENT_TOL for v in corners)
+
+
+@pytest.mark.parametrize("ifs", NEAR_TOUCHING, ids=lambda ifs: ifs.label)
+def test_near_touching_systems_match_the_oracles(ifs):
+    # cubes gap INTERSECT_TOL apart at and around the 2 INTERSECT_TOL where the widened cubes
+    # touch, and a corner at and around CONTAINMENT_TOL from a vertex: the box candidates
+    # keep every pair and every corner the exact tests accept
+    assert level_one_components(ifs) == _level_one_oracle(ifs)
+    assert vertex_closure_check(ifs) is _closure_oracle(ifs)
+
+
+def test_near_touching_systems_sit_on_both_sides_of_the_tolerances():
+    counts = {ifs.label: level_one_components(ifs).count for ifs in NEAR_TOUCHING}
+    # n = 1 joins the pair exactly at 2 INTERSECT_TOL; vertices come in singletons
+    assert [counts[f"pair1a{gap}"] for gap in (1.9, 2, 2.1)] == [3, 3, 4]
+    assert [counts[f"pair3r{gap}"] for gap in (-1, 2, 3)] == [9, 9, 10]
+    closed = [vertex_closure_check(ifs) for ifs in NEAR_TOUCHING if ifs.label.startswith("tiling2:")]
+    assert closed == [True] * 5 + [False] * 4  # gaps 0, +-0.5, +-1, then 1.9, 2, 2.1, 3
+
+
+def test_cubes_intersect_runs_on_box_candidates_only(monkeypatch):
+    pairs = []
+
+    def counted(c1, c2):
+        pairs.append((int(c1.words[-1]), int(c2.words[-1])))
+        return cubes_intersect(c1, c2)
+
+    monkeypatch.setattr(components, "cubes_intersect", counted)
+    level_one_components(preset("cantor_dust6"))
+    assert pairs == []  # of 2016 pairs, no two boxes within the pad
+    ifs = preset("menger_sponge")
+    level_one_components(ifs)
+    verts = _children(ifs, _root(ifs)).vertices
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    pad = 3 * np.sqrt(ifs.n) * INTERSECT_TOL
+    near = {(i + 1, j + 1) for i in range(ifs.num_maps) for j in range(i + 1, ifs.num_maps)
+            if np.all(lo[i] - hi[j] <= pad) and np.all(lo[j] - hi[i] <= pad)}
+    assert sorted(pairs) == sorted(near) and len(pairs) == 48  # of 190 pairs
 
 
 @pytest.mark.parametrize("name", ["rotation:0.7", "non_osc", "menger_sponge", "lifted_carpet"])

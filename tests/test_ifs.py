@@ -281,7 +281,7 @@ def test_vertex_closure_matches_similitude_images(name):
     # for bit the vertices of the level-one block and decide the closure alike
     ifs = preset(name)
     corners = vertex_bits(ifs.n).astype(float)
-    images = np.vstack([m.apply(corners) for m in ifs.maps])
+    images = np.vstack([m.ratio * (corners @ m.matrix.T) + m.translation for m in ifs.maps])
     assert np.array_equal(images, _children(ifs, _root(ifs)).vertices.reshape(-1, ifs.n))
     closed = all(np.min(np.max(np.abs(images - v), axis=1)) <= ifs_mod.CONTAINMENT_TOL
                  for v in corners)
@@ -306,7 +306,8 @@ def test_rotation_preset_geometry():
     np.testing.assert_allclose(ifs.ratios, [1 / (2 * np.sqrt(2))] * 4)
     centers = np.array([[1, 1], [3, 1], [1, 3], [3, 3]]) / 4.0
     for m, c in zip(ifs.maps, centers):
-        np.testing.assert_allclose(m.apply(np.array([0.5, 0.5])), c, atol=1e-14)
+        np.testing.assert_allclose(m.ratio * (np.array([0.5, 0.5]) @ m.matrix.T) + m.translation, c,
+                                   atol=1e-14)
 
 
 def test_lifted_carpet_shape():

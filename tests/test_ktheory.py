@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import LEVEL_ONE_SYSTEMS, NEAR_TOUCHING
 from fractal_dirac import (
     Box,
     BudgetExceededError,
@@ -16,12 +17,15 @@ from fractal_dirac import (
     index_pairing,
     interval_projection,
     iter_placed,
+    level_one_components,
     load_projection,
     nonvanish_certificate,
     preset,
     save_projection,
 )
-from fractal_dirac.cube import u_matrix
+from fractal_dirac.cube import u_matrix, vertex_bits
+from fractal_dirac.ifs import _children, _root
+from fractal_dirac.ktheory import component_projection
 
 
 def test_box_membership_flags():
@@ -292,6 +296,44 @@ def test_certificate_projection_is_pinned(name, digest):
         h.update(box.lo.tobytes())
         h.update(box.hi.tobytes())
     assert h.hexdigest() == digest
+
+
+def _projection_oracle(ifs, report, index):
+    """Region bounds, as bytes, of the component's boxes padded by a quarter of the least
+    point distance to each other component in turn, every other component scanned."""
+    corners = vertex_bits(ifs.n).astype(float)
+    images = _children(ifs, _root(ifs)).vertices
+
+    def points_of(comp):
+        pts = images[np.array(comp.cubes, dtype=int) - 1].reshape(-1, ifs.n)
+        return np.vstack([pts, corners[list(comp.vertices)]])
+
+    comp = report.components[index]
+    mine = points_of(comp)
+    min_dist = min((float(np.linalg.norm(mine[:, None, :] - points_of(other)[None, :, :], axis=2).min())
+                    for k, other in enumerate(report.components) if k != index), default=np.inf)
+    margin = 0.01 if not np.isfinite(min_dist) else min_dist / 4.0
+    boxes = [(images[s - 1].min(axis=0), images[s - 1].max(axis=0)) for s in comp.cubes]
+    boxes += [(corners[v], corners[v]) for v in comp.vertices]
+    return [((lo - margin).tobytes(), (hi + margin).tobytes()) for lo, hi in boxes]
+
+
+def _assert_projections_match_oracle(ifs):
+    report = level_one_components(ifs)
+    for index in range(report.count) if report.count <= 16 else (0, 1, report.count - 1):
+        regions = component_projection(ifs, report, index).regions
+        assert [(b.lo.tobytes(), b.hi.tobytes()) for b in regions] == _projection_oracle(ifs, report, index)
+
+
+@pytest.mark.parametrize("name", LEVEL_ONE_SYSTEMS)
+def test_component_projection_matches_per_component_margin(name):
+    # the box-gap scan stops early, yet pads every box by the same bits
+    _assert_projections_match_oracle(preset(name))
+
+
+@pytest.mark.parametrize("ifs", NEAR_TOUCHING, ids=lambda ifs: ifs.label)
+def test_near_touching_projection_matches_per_component_margin(ifs):
+    _assert_projections_match_oracle(ifs)
 
 
 @pytest.mark.parametrize(
