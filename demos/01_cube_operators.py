@@ -6,13 +6,14 @@ matrix family built from it, then verifies the defining identities.
 
 import numpy as np
 
-from fractal_dirac import (
-    f_matrix,
-    g_matrix,
-    grading,
-    oriented_edges,
-)
+from fractal_dirac import f_matrix, g_matrix, oriented_edges
 from fractal_dirac.cube import u_matrix, vertex_bits, x_matrix
+
+
+def grading(n):
+    """The +1/-1 grading in block order: even vertices first, odd vertices second."""
+    return np.diag(np.repeat([1.0, -1.0], 2 ** (n - 1)))
+
 
 np.set_printoptions(linewidth=120, suppress=True)
 

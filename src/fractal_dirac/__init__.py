@@ -11,13 +11,12 @@ from .calculus import (
     volume_element_abs,
 )
 from .components import ComponentReport, level_one_components, vertex_closure_check
-from .cube import f_matrix, g_matrix, grading, oriented_edges
+from .cube import f_matrix, g_matrix, oriented_edges
 from .errors import BudgetExceededError, CapacityError, DivergenceError, FractalDiracError
 from .ifs import (
     IfsSystem,
     PlacedCube,
     Similitude,
-    compose,
     iter_placed,
     load_ifs,
     save_ifs,

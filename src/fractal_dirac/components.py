@@ -17,7 +17,7 @@ import numpy as np
 
 from .cube import vertex_bits
 from .errors import CapacityError
-from .ifs import CONTAINMENT_TOL, IfsSystem, _children, _root
+from .ifs import CONTAINMENT_TOL, LEVEL_CHUNK, IfsSystem, _box, _children, _root
 
 INTERSECT_TOL = 1e-9
 PARALLEL_TOL = 1e-12  # edges this close up to sign give one direction for the normals
@@ -81,10 +81,10 @@ class ComponentReport:
 
 
 def _near_boxes(a, b, pad):
-    """Index arrays (i, j) of the point-set stacks a (A, k, n) and b (B, l, n) whose boxes come
-    within pad on every axis, as rounded differences of bounds; in row chunks no larger than a."""
-    (lo, hi), (lo2, hi2) = (a.min(axis=1), a.max(axis=1)), (b.min(axis=1), b.max(axis=1))
-    step = max(1, a.size // lo2.size)
+    """Index arrays (i, j) of the boxes a = (lo, hi), each (A, n), and b, each (B, n), that come
+    within pad on every axis, as rounded differences of bounds; LEVEL_CHUNK pairs (or a row) at a time."""
+    (lo, hi), (lo2, hi2) = a, b
+    step = max(1, LEVEL_CHUNK // len(lo2))
     near = [np.argwhere(np.all((lo[k: k + step, None] - hi2 <= pad)
                                & (lo2 - hi[k: k + step, None] <= pad), axis=2)) + [k, 0]
             for k in range(0, len(lo), step)]
@@ -94,15 +94,15 @@ def _near_boxes(a, b, pad):
 def level_one_components(ifs: IfsSystem) -> ComponentReport:
     """Components of the original vertices united with the level-one cube images."""
     cubes = _children(ifs, _root(ifs))  # row s - 1 for symbol s
-    images, corners, m = cubes.vertices, vertex_bits(ifs.n).astype(float), ifs.num_maps
+    boxes, corners, m = _box(*cubes[2:]), vertex_bits(ifs.n).astype(float), ifs.num_maps
     # Both exact tests widen a cube by INTERSECT_TOL along its own axes, so its box by at most
     # sqrt(n) INTERSECT_TOL a side (a row of T has 1-norm <= sqrt(n)): a pad above 2 sqrt(n)
     # INTERSECT_TOL keeps every pair they accept (n = 1 accepts exactly 2 INTERSECT_TOL apart)
     pad = 3 * math.sqrt(ifs.n) * INTERSECT_TOL  # the excess over 2 covers float rounding
-    i, j = _near_boxes(images, images, pad)
+    i, j = _near_boxes(boxes, boxes, pad)
     meet = [a < b and cubes_intersect(cubes.rows(a), cubes.rows(b))
             for a, b in zip(i.tolist(), j.tolist())]
-    cube, vertex = _near_boxes(images, corners[:, None], pad)
+    cube, vertex = _near_boxes(boxes, (corners, corners), pad)
     inside = point_in_cube(cubes.rows(cube), corners[vertex, None])[:, 0]
     links = np.r_[np.c_[i, j][meet], np.c_[cube, m + vertex][inside]]  # items: cubes, then vertices
     label, old = np.arange(m + len(corners)), None
@@ -121,9 +121,13 @@ def level_one_components(ifs: IfsSystem) -> ComponentReport:
 
 
 def vertex_closure_check(ifs: IfsSystem) -> bool:
-    """True iff every unit-cube vertex is the image of a vertex under some map: scanned against
-    the cubes whose box holds it within CONTAINMENT_TOL, as each box holds its cube's vertices."""
-    images, corners = _children(ifs, _root(ifs)).vertices, vertex_bits(ifs.n).astype(float)
-    cube, corner = _near_boxes(images, corners[:, None], CONTAINMENT_TOL)
-    hit = np.abs(images[cube] - corners[corner, None]).max(axis=2).min(axis=1) <= CONTAINMENT_TOL
-    return bool(np.bincount(corner[hit], minlength=len(corners)).all())
+    """True iff every unit-cube vertex is the image of a vertex under some map: scanned against the
+    vertices of the cubes whose box holds it within CONTAINMENT_TOL (a box holds its cube's vertices),
+    formed for at most LEVEL_CHUNK >> n candidate cubes at once."""
+    cubes, corners = _children(ifs, _root(ifs)), vertex_bits(ifs.n).astype(float)
+    cube, corner = _near_boxes(_box(*cubes[2:]), (corners, corners), CONTAINMENT_TOL)
+    closed, step = np.zeros(len(corners), dtype=bool), max(1, LEVEL_CHUNK >> ifs.n)
+    for k in range(0, len(cube), step):
+        dist = np.abs(cubes.rows(cube[k: k + step]).vertices - corners[corner[k: k + step], None])
+        closed[corner[k: k + step][dist.max(axis=2).min(axis=1) <= CONTAINMENT_TOL]] = True
+    return bool(closed.all())

@@ -109,11 +109,3 @@ def f_matrix(n: int) -> np.ndarray:
     m = u.shape[0]
     z = np.zeros((m, m))
     return np.block([[z, u.T], [u, z]])
-
-
-def grading(n: int) -> np.ndarray:
-    """Diagonal +1/-1 grading in block order (even block first)."""
-    _check_dim(n)
-    m = 2 ** (n - 1)
-    return np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
-

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import _check_orthogonal
-from .cube import _frozen, vertex_bits
+from .cube import _check_dim, _frozen, vertex_bits
 from .errors import BudgetExceededError
 
 CONTAINMENT_TOL = 1e-9
@@ -41,6 +41,16 @@ def default_budget() -> int:
     return value
 
 
+def _box(e_w, transform, offset):
+    """Axis boxes (lo, hi), each (..., n), of placed cubes x -> e_w * transform @ x + offset: row i of
+    transform summed over its negative (lo) or positive (hi) entries in axis order, as `vertices` sums
+    a subset of it; rounding is monotone, so lo and hi are bit for bit the min and max of `vertices`."""
+    e_w = np.asarray(e_w)[..., None]
+    # cumsum adds each row in axis order, as `vertices` does; np.sum's pairwise order rounds otherwise
+    sums = (bound(transform, 0.0).cumsum(axis=-1)[..., -1] for bound in (np.minimum, np.maximum))
+    return tuple(offset + e_w * s for s in sums)
+
+
 @dataclass(frozen=True)
 class Similitude:
     """Contraction x -> ratio * matrix @ x + translation mapping the cube into itself."""
@@ -57,8 +67,9 @@ class Similitude:
         n = t.shape[-1]
         if t.shape != (n, n) or b.shape != (n,):
             raise ValueError("expected an n x n matrix and a translation of length n")
-        image = b + self.ratio * (vertex_bits(n) @ t.T)
-        if not (image.min() >= -CONTAINMENT_TOL and image.max() <= 1.0 + CONTAINMENT_TOL):
+        _check_dim(n)
+        lo, hi = _box(self.ratio, t, b)
+        if not (lo.min() >= -CONTAINMENT_TOL and hi.max() <= 1.0 + CONTAINMENT_TOL):
             raise ValueError("similitude image is not contained in the unit cube")
         object.__setattr__(self, "matrix", t)
         object.__setattr__(self, "translation", b)
@@ -99,7 +110,7 @@ class PlacedCube(NamedTuple):
 
     A block from iter_levels has a leading row axis, row i the cube of the word
     words[i] (symbols 1..N, in the smallest unsigned type that holds N); a single
-    cube (compose, iter_placed, rows(i)) has none.  The word's maps had their
+    cube (iter_placed, rows(i)) has none.  The word's maps had their
     orthogonal parts checked once; placed_coordinate_form checks a hand-built cube.
     A named 5-tuple, so a row costs one tuple and its fields cannot be reassigned.
     """
@@ -146,16 +157,6 @@ def _children(ifs: IfsSystem, block: PlacedCube) -> PlacedCube:
 def _root(ifs: IfsSystem) -> PlacedCube:
     n, symbol = ifs.n, np.min_scalar_type(ifs.num_maps)
     return PlacedCube(0, np.zeros((1, 0), symbol), np.ones(1), np.eye(n)[None], np.zeros((1, n)))
-
-
-def compose(ifs: IfsSystem, word) -> PlacedCube:
-    """Compose the similitudes named by a word, first symbol outermost."""
-    cube = _root(ifs)
-    for s in word:
-        if not 1 <= s <= ifs.num_maps:
-            raise ValueError(f"symbol {s} out of range 1..{ifs.num_maps}")
-        cube = _children(ifs, cube).rows(slice(s - 1, s))
-    return cube.rows(0)
 
 
 def word_count(num_symbols: int, depth: int) -> int:

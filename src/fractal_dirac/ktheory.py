@@ -18,7 +18,7 @@ import numpy as np
 from .components import ComponentReport, level_one_components
 from .cube import vertex_bits
 from .errors import BudgetExceededError
-from .ifs import IfsSystem, _children, _json_text, _root, _shown, _sweep, default_budget
+from .ifs import LEVEL_CHUNK, IfsSystem, _box, _children, _json_text, _root, _shown, _sweep, default_budget
 
 MEMBERSHIP_TOL = 1e-12
 STABILITY_WINDOW = 3  # final depths whose increments must all vanish
@@ -145,15 +145,14 @@ class IndexReport:
     per_depth: tuple  # partial sums by depth
 
 
-def _prunable(verts, regions):
-    """Cubes (rows of verts) whose subtrees stay balanced: inside one region's interior
-    with a margin, or with a bounding box apart from every region (sound, not sharp)."""
+def _prunable(lo, hi, regions):
+    """Cubes (rows of their exact vertex bounds lo, hi) whose subtrees stay balanced: inside one
+    region's interior with a margin, or with a box apart from every region (sound, not sharp)."""
     tol = MEMBERSHIP_TOL
-    lo, hi = verts.min(axis=1), verts.max(axis=1)
-    swallowed = np.zeros(len(verts), dtype=bool)
-    separated = np.ones(len(verts), dtype=bool)
+    swallowed = np.zeros(len(lo), dtype=bool)
+    separated = np.ones(len(lo), dtype=bool)
     for box in regions:
-        swallowed |= np.all((verts > box.lo + tol) & (verts < box.hi - tol), axis=(1, 2))
+        swallowed |= np.all((lo > box.lo + tol) & (hi < box.hi - tol), axis=1)
         separated &= np.any(hi < box.lo - tol, axis=1) | np.any(lo > box.hi + tol, axis=1)
     return swallowed | separated
 
@@ -198,7 +197,7 @@ def index_pairing(
         inside = proj.contains(verts.reshape(-1, ifs.n)).reshape(verts.shape[:2])
         increments[block.level] += int(inside[:, 0::2].sum()) - int(inside[:, 1::2].sum())
         try:
-            block = sweep.send(~_prunable(verts, proj.regions))
+            block = sweep.send(~_prunable(*_box(*block[2:]), proj.regions))
         except StopIteration:
             break
     partial = list(accumulate(increments))
@@ -263,23 +262,24 @@ def component_projection(ifs: IfsSystem, report, index: int) -> ProjectionSpec:
     """Box neighborhood of one component, padded by a margin below the
     point-set separation from every other component."""
     corners = vertex_bits(ifs.n).astype(float)
-    images = _children(ifs, _root(ifs)).vertices  # row s - 1: the cube of symbol s
-    comp = report.components[index]
-    own = [s - 1 for s in comp.cubes] + [len(images) + v for v in comp.vertices]  # item rows
-    mine = np.vstack([images[np.array(comp.cubes, dtype=int) - 1].reshape(-1, ifs.n),
+    cubes = _children(ifs, _root(ifs))  # row s - 1: the cube of symbol s
+    comp, m = report.components[index], len(cubes.e_w)
+    own = [s - 1 for s in comp.cubes] + [m + v for v in comp.vertices]  # item rows
+    mine = np.vstack([cubes.rows(np.array(comp.cubes, dtype=int) - 1).vertices.reshape(-1, ifs.n),
                       corners[list(comp.vertices)]])
-    lo, hi = np.vstack([images.min(axis=1), corners]), np.vstack([images.max(axis=1), corners])
+    lo, hi = (np.vstack([side, corners]) for side in _box(*cubes[2:]))
     # the other cubes and vertices, nearest box first: a box gap bounds the point distances
     # below, so the first gap past the best distance ends the scan
-    gap = np.linalg.norm(np.maximum(np.maximum(lo - mine.max(0), mine.min(0) - hi), 0.0), axis=1)
+    gap = np.linalg.norm(np.maximum(np.maximum(lo - hi[own].max(0), lo[own].min(0) - hi), 0.0), axis=1)
     gap[own] = np.inf  # the component's own items sort last and are left out
-    min_dist = np.inf
+    min_dist, step = np.inf, max(1, LEVEL_CHUNK >> ifs.n)
     for k in np.argsort(gap, kind="stable")[: len(gap) - len(own)]:
         if gap[k] > min_dist + 1e-12:  # past the rounding of both, coordinates in [0, 1], n <= 12
             break
-        pts = images[k] if k < len(images) else corners[k - len(images), None]
-        dists = np.linalg.norm(mine[:, None, :] - pts[None, :, :], axis=2)
-        min_dist = min(min_dist, float(dists.min()))
+        pts = cubes.rows(slice(k, k + 1)).vertices[0] if k < m else corners[k - m, None]
+        for a in range(0, len(mine), step):  # at most step of the own points at once
+            dists = np.linalg.norm(mine[a: a + step, None, :] - pts[None, :, :], axis=2)
+            min_dist = min(min_dist, float(dists.min()))
     margin = 0.01 if not np.isfinite(min_dist) else min_dist / 4.0
     return ProjectionSpec(regions=tuple(closed_box(lo[k] - margin, hi[k] + margin) for k in own))
 

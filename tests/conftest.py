@@ -3,6 +3,7 @@ import pytest
 
 from fractal_dirac import IfsSystem, Similitude, presets
 from fractal_dirac.components import INTERSECT_TOL
+from fractal_dirac.ifs import _children, _root
 
 # registry filled by the acceptance module; one line per criterion at session end
 ACCEPTANCE_LINES = []
@@ -32,6 +33,20 @@ def matrix_abs(a):
     a = np.asarray(a)
     w, vecs = np.linalg.eigh(np.swapaxes(a.conj(), -1, -2) @ a)
     return (vecs * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def compose(ifs, word):
+    """The placed cube of one word, first symbol outermost, by the engine's child step
+    taken one symbol at a time: the one-cube oracle for the level blocks."""
+    cube = _root(ifs)
+    for s in word:
+        cube = _children(ifs, cube).rows(slice(s - 1, s))
+    return cube.rows(0)
+
+
+def grading(n):
+    """Diagonal +1/-1 grading of the 2^n-dimensional space in block order (even block first)."""
+    return np.diag(np.repeat([1.0, -1.0], 2 ** (n - 1)))
 
 
 OSC_PRESETS = [

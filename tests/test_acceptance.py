@@ -23,7 +23,6 @@ from fractal_dirac import (
     dixmier_trace_dirac,
     f_matrix,
     g_matrix,
-    grading,
     index_pairing,
     interval_projection,
     nonvanish_certificate,
@@ -77,7 +76,7 @@ def test_criterion_1_matrix_identities():
         for n in range(1, 11):
             u = u_matrix(n)
             f = f_matrix(n)
-            eps = grading(n)
+            eps = conftest.grading(n)
             assert np.max(np.abs(u @ u.T - np.eye(2 ** (n - 1)))) <= 1e-12
             assert np.max(np.abs(f @ f - np.eye(2**n))) <= 1e-12
             assert np.max(np.abs(f - f.T)) <= 1e-12

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import grading
 from fractal_dirac import _verify, cli, cube, ktheory
 from fractal_dirac.cli import POW_MAX_BITS, _power, function_from_expression, main
 
@@ -59,6 +60,15 @@ def test_analyze_rejects_bad_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--file", str(bad))
     assert code == 2
     assert json.loads(err)["kind"] == "invalid-input"
+
+
+def test_analyze_refuses_a_file_past_the_dimension_cap(capsys, tmp_path):
+    path = tmp_path / "n13.json"
+    path.write_text(json.dumps({"n": 13, "maps": [
+        {"ratio": 0.5, "matrix": np.eye(13).ravel().tolist(), "translation": [0.0] * 13}]}))
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "n=13 exceeds the dense-storage cap n<=12", "kind": "invalid-input"}
 
 
 @pytest.mark.parametrize("text", [
@@ -247,7 +257,7 @@ def test_involution_check_reports_the_dense_residual(monkeypatch):
     _verify.check_involution(max_n=8)
     dense = []
     for n, f in forms.items():
-        eps = cube.grading(n)
+        eps = grading(n)
         dense += [np.max(np.abs(f @ f - np.eye(2**n))), np.max(np.abs(f - f.T)),
                   np.max(np.abs(f @ eps + eps @ f))]
     assert reported == [float(max(dense))] == [float(max(dense[2::3]))]
@@ -277,7 +287,7 @@ def test_involution_check_fails_on_a_corrupted_off_diagonal_entry(monkeypatch, m
 
     monkeypatch.setattr(_verify, "_result", capture)
     assert not _verify.check_involution(max_n=6).passed
-    f, eps = faulty(6), cube.grading(6)
+    f, eps = faulty(6), grading(6)
     dense = max(np.max(np.abs(f @ f - np.eye(64))), np.max(np.abs(f - f.T)),
                 np.max(np.abs(f @ eps + eps @ f)))
     assert dense > 0.1

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import ALL_PRESETS, LEVEL_ONE_SYSTEMS, NEAR_TOUCHING, random_orthogonal
+from conftest import ALL_PRESETS, LEVEL_ONE_SYSTEMS, NEAR_TOUCHING, compose, random_orthogonal
 from fractal_dirac import (
     CapacityError,
-    compose,
+    IfsSystem,
+    Similitude,
     components,
     level_one_components,
     preset,
@@ -283,6 +284,24 @@ def test_cubes_intersect_runs_on_box_candidates_only(monkeypatch):
     near = {(i + 1, j + 1) for i in range(ifs.num_maps) for j in range(i + 1, ifs.num_maps)
             if np.all(lo[i] - hi[j] <= pad) and np.all(lo[j] - hi[i] <= pad)}
     assert sorted(pairs) == sorted(near) and len(pairs) == 48  # of 190 pairs
+
+
+@pytest.mark.parametrize("name", ["menger_sponge", "sierpinski_carpet", "rotation:0.7", "non_osc",
+                                  "lifted_carpet", "cantor_dust4"])
+def test_level_one_layer_is_the_same_in_small_chunks(monkeypatch, name):
+    # box candidates a row of cubes at a time, the vertices of one candidate cube at a time
+    monkeypatch.setattr(components, "LEVEL_CHUNK", 2)
+    ifs = preset(name)
+    assert level_one_components(ifs) == _level_one_oracle(ifs)
+    assert vertex_closure_check(ifs) is _closure_oracle(ifs)
+
+
+def test_cube_that_meets_no_corner():
+    # no corner is a candidate of the one central cube: five singleton components, not closed
+    ifs = IfsSystem(2, (Similitude(0.5, np.eye(2), np.full(2, 0.25)),))
+    report = level_one_components(ifs)
+    assert report == _level_one_oracle(ifs) and report.count == 5
+    assert vertex_closure_check(ifs) is False
 
 
 @pytest.mark.parametrize("name", ["rotation:0.7", "non_osc", "menger_sponge", "lifted_carpet"])

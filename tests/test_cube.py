@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import grading
 from fractal_dirac import (
     CapacityError,
     f_matrix,
     g_matrix,
-    grading,
     oriented_edges,
 )
 from fractal_dirac.calculus import _coordinate_perm

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import LEVEL_ONE_SYSTEMS
+from conftest import LEVEL_ONE_SYSTEMS, NEAR_TOUCHING, compose, random_orthogonal
 from fractal_dirac import (
     BudgetExceededError,
     IfsSystem,
     Similitude,
     cantor_dust,
     cantor_set,
-    compose,
     iter_placed,
     load_ifs,
     menger_sponge,
@@ -27,7 +26,7 @@ from fractal_dirac import ifs as ifs_mod
 from fractal_dirac import presets
 from fractal_dirac.cube import vertex_bits
 from fractal_dirac.errors import CapacityError
-from fractal_dirac.ifs import PlacedCube, _children, _root, iter_levels, word_count
+from fractal_dirac.ifs import CONTAINMENT_TOL, PlacedCube, _box, _children, _root, iter_levels, word_count
 from fractal_dirac.presets import lifted_carpet, non_osc, sc
 
 
@@ -359,6 +358,91 @@ def test_similitude_validation():
         Similitude(ratio=0.5, matrix=np.stack([eye, eye]), translation=np.zeros(2))
     with pytest.raises(ValueError):
         IfsSystem(n=2, maps=())
+
+
+def _rotated_system(n, seed, num_maps=3):
+    """Seeded rotated maps of ratio 1 / (2 sqrt n), each image centred in the middle half
+    of the unit cube: a box of width at most 1/2 (a row of T has 1-norm <= sqrt n)."""
+    rng = np.random.default_rng(seed)
+    ratio, maps = 0.5 / np.sqrt(n), []
+    for _ in range(num_maps):
+        t = random_orthogonal(rng, n)
+        maps.append(Similitude(ratio, t, rng.uniform(0.25, 0.75, n) - ratio * t @ np.full(n, 0.5)))
+    return IfsSystem(n, tuple(maps), label=f"rotated{n}:{seed}")
+
+
+def _assert_boxes_are_vertex_bounds(ifs):
+    level_one = _children(ifs, _root(ifs))
+    # the level-one block and the depth-2 children of its first eight cubes
+    for block in (level_one, _children(ifs, level_one.rows(slice(0, 8)))):
+        lo, hi = _box(*block[2:])
+        verts = block.vertices
+        assert lo.tobytes() == verts.min(axis=1).tobytes()
+        assert hi.tobytes() == verts.max(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("name", LEVEL_ONE_SYSTEMS)
+def test_boxes_are_the_vertex_bounds_on_the_level_one_systems(name):
+    _assert_boxes_are_vertex_bounds(preset(name))
+
+
+@pytest.mark.parametrize("ifs", NEAR_TOUCHING, ids=lambda ifs: ifs.label)
+def test_boxes_are_the_vertex_bounds_on_near_touching_systems(ifs):
+    _assert_boxes_are_vertex_bounds(ifs)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_boxes_are_the_vertex_bounds_on_rotated_systems(n):
+    # a row of a rotation has n nonzero entries, so the extreme vertex sums all n of them
+    for seed in range(8 if n <= 8 else 2):
+        _assert_boxes_are_vertex_bounds(_rotated_system(n, seed))
+
+
+def _image_contained(ratio, t, b):
+    """The containment test over all 2^n vertex images: the oracle for Similitude's test on its box."""
+    image = b + ratio * (vertex_bits(t.shape[0]) @ t.T)
+    return bool(image.min() >= -CONTAINMENT_TOL and image.max() <= 1.0 + CONTAINMENT_TOL)
+
+
+def test_similitude_containment_matches_the_vertex_images():
+    # maps whose image reaches within 4 ulps of the translation past -CONTAINMENT_TOL or
+    # 1 + CONTAINMENT_TOL on one axis, where a bound one rounding off would flip decisions
+    rng = np.random.default_rng(29)
+    accepted = []
+    for _ in range(10_000):
+        n = int(rng.integers(1, 11))
+        t = random_orthogonal(rng, n)
+        if rng.random() < 0.25:  # a signed permutation: rows with a single entry
+            t = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+        ratio = float(rng.uniform(0.05, 0.95) / np.sqrt(n))
+        corners = vertex_bits(n) @ t.T
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        b = 0.5 - ratio * (lo + hi) / 2
+        axis = rng.integers(n)
+        edge = -CONTAINMENT_TOL - ratio * lo[axis] if rng.random() < 0.5 else (
+            1.0 + CONTAINMENT_TOL - ratio * hi[axis])
+        b[axis] = edge + int(rng.integers(-4, 5)) * np.spacing(edge)
+        expected = _image_contained(ratio, t, b)
+        try:
+            Similitude(ratio, t, b)
+        except ValueError:
+            assert not expected
+        else:
+            assert expected
+        accepted.append(expected)
+    assert 2000 < sum(accepted) < 8000  # both sides of the tolerance are reached
+
+
+def test_similitude_keeps_the_dimension_cap(tmp_path):
+    # the containment box needs no vertex table, so the cap n <= 12 is checked by itself
+    with pytest.raises(CapacityError, match=r"^n=13 exceeds the dense-storage cap n<=12$"):
+        Similitude(0.5, np.eye(13), np.zeros(13))
+    path = tmp_path / "n13.json"
+    path.write_text(json.dumps({"n": 13, "maps": [
+        {"ratio": 0.5, "matrix": np.eye(13).ravel().tolist(), "translation": [0.0] * 13}]}))
+    with pytest.raises(CapacityError):
+        load_ifs(path)
+    Similitude(0.5, np.eye(12), np.zeros(12))
 
 
 def test_json_round_trip(tmp_path):

@@ -9,7 +9,9 @@ from conftest import LEVEL_ONE_SYSTEMS, NEAR_TOUCHING
 from fractal_dirac import (
     Box,
     BudgetExceededError,
+    IfsSystem,
     ProjectionSpec,
+    Similitude,
     cantor_dust,
     cantor_set,
     closed_box,
@@ -17,15 +19,17 @@ from fractal_dirac import (
     index_pairing,
     interval_projection,
     iter_placed,
+    ktheory,
     level_one_components,
     load_projection,
     nonvanish_certificate,
     preset,
     save_projection,
+    vertex_closure_check,
 )
 from fractal_dirac.cube import u_matrix, vertex_bits
-from fractal_dirac.ifs import _children, _root
-from fractal_dirac.ktheory import component_projection
+from fractal_dirac.ifs import _box, _children, _root, _sweep
+from fractal_dirac.ktheory import MEMBERSHIP_TOL, _prunable, component_projection
 
 
 def test_box_membership_flags():
@@ -348,3 +352,65 @@ def test_pairing_budget_counts_visited_cubes(name, depth, visited):
     assert index_pairing(ifs, proj, depth, budget=visited).value == 1
     with pytest.raises(BudgetExceededError):
         index_pairing(ifs, proj, depth, budget=visited - 1)
+
+
+@pytest.mark.parametrize("name", ["cantor_dust3", "menger_sponge", "rotation:0.7", "lifted_carpet"])
+def test_component_projection_is_the_same_in_small_chunks(monkeypatch, name):
+    # one or two of the component's points against a visited cube at a time
+    monkeypatch.setattr(ktheory, "LEVEL_CHUNK", 2)
+    _assert_projections_match_oracle(preset(name))
+
+
+def test_projection_of_a_cube_that_meets_no_corner():
+    # one central cube: a component of no vertices, and four single corners
+    _assert_projections_match_oracle(IfsSystem(2, (Similitude(0.5, np.eye(2), np.full(2, 0.25)),)))
+
+
+def _prunable_on_vertices(verts, regions):
+    """The prune test over every vertex of a (K, 2^n, n) stack: the oracle for the test on boxes."""
+    tol = MEMBERSHIP_TOL
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    swallowed = np.zeros(len(verts), dtype=bool)
+    separated = np.ones(len(verts), dtype=bool)
+    for box in regions:
+        swallowed |= np.all((verts > box.lo + tol) & (verts < box.hi - tol), axis=(1, 2))
+        separated &= np.any(hi < box.lo - tol, axis=1) | np.any(lo > box.hi + tol, axis=1)
+    return swallowed | separated
+
+
+@pytest.mark.parametrize(
+    "name,depth,visited",
+    [("sierpinski_carpet", 7, 9657), ("menger_sponge", 5, 71021), ("cantor_dust2", 9, 2013)],
+)
+def test_box_prune_test_matches_the_vertex_one(name, depth, visited):
+    # every block of the three pinned sweeps: "every vertex strictly inside" read off the
+    # exact vertex bounds prunes the same cubes as the test over all 2^n vertices
+    ifs = preset(name)
+    regions = (closed_box([0.0] * ifs.n, [0.5] * ifs.n),)
+    sweep = _sweep(ifs, _root(ifs), depth)
+    block, count, pruned = next(sweep), 0, 0
+    while True:
+        count += block.e_w.size
+        prune = _prunable(*_box(*block[2:]), regions)
+        assert prune.tolist() == _prunable_on_vertices(block.vertices, regions).tolist()
+        pruned += int(prune.sum())
+        try:
+            block = sweep.send(~prune)
+        except StopIteration:
+            break
+    assert count == visited and pruned > 0
+
+
+def test_level_one_layer_memory_is_bounded():
+    # cantor_dust10: 1024 cubes of 1024 vertices; a whole (N, 2^n, n) vertex stack is 84 MB
+    ifs = preset("cantor_dust10")
+    report = level_one_components(ifs)
+    peaks = []
+    for call in (level_one_components, vertex_closure_check, lambda s: component_projection(s, report, 0)):
+        tracemalloc.start()
+        try:
+            call(ifs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 16 << 20, peaks

@@ -24,14 +24,12 @@ PUBLIC_NAMES = [
     "commutator_direct",
     "commutator_hadamard",
     "commutator_norm_check",
-    "compose",
     "connes_gap_pairing",
     "coordinate_form",
     "dixmier_trace_dirac",
     "eigenvalue_counting",
     "f_matrix",
     "g_matrix",
-    "grading",
     "index_pairing",
     "integrate_hausdorff",
     "interval_projection",
