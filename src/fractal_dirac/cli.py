@@ -115,7 +115,7 @@ def function_from_expression(expr: str, n: int):
             env[f"x{i + 1}"] = float(point[i])
         try:
             return float(eval(code, {"__builtins__": {}}, env))
-        except (ArithmeticError, TypeError) as exc:  # TypeError: a complex value, a bad call
+        except (ArithmeticError, TypeError, ValueError) as exc:  # a complex value, a bad call, log(0)
             raise ValueError(f"cannot evaluate function expression {expr!r}: {exc}") from exc
 
     return f
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _error_out(exc, "budget-exceeded")
         return 3
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, KeyError, RecursionError) as exc:  # deep nesting
         _error_out(exc, "invalid-input")
         return 2
 

@@ -188,18 +188,28 @@ def _check_budget(ifs, depth, budget):
     )
 
 
-def _sweep(ifs: IfsSystem, block: PlacedCube, depth: int):
-    """Yield block, then its descendants to depth, as iter_levels describes."""
-    keep = yield block
-    if block.level == depth:
-        return
+def _child_blocks(ifs: IfsSystem, block: PlacedCube, keep):
+    """The child blocks of the rows of block that keep marks (None: all), in sweep order."""
     rows = np.arange(block.e_w.size) if keep is None else np.flatnonzero(keep)
     chunk = max(1, LEVEL_CHUNK >> 2 * max(0, ifs.n - 3))
     group = max(1, chunk // ifs.num_maps)  # parents whose children are built at once
     for first in range(0, rows.size, group):
         children = _children(ifs, block.rows(rows[first: first + group]))
         for start in range(0, children.e_w.size, chunk):
-            yield from _sweep(ifs, children.rows(slice(start, start + chunk)), depth)
+            yield children.rows(slice(start, start + chunk))
+
+
+def _sweep(ifs: IfsSystem, block: PlacedCube, depth: int):
+    """Yield block, then its descendants to depth, as iter_levels describes, without recursion."""
+    stack = [iter((block,))]  # one pending iterator of child blocks per open level
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+        else:
+            keep = yield block
+            if block.level < depth:
+                stack.append(_child_blocks(ifs, block, keep))
 
 
 def iter_levels(ifs: IfsSystem, depth: int, budget: int | None = None):

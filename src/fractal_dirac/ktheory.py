@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .components import ComponentReport, level_one_components
+from .components import ComponentReport, _near_boxes, level_one_components
 from .cube import vertex_bits
 from .errors import BudgetExceededError
 from .ifs import LEVEL_CHUNK, IfsSystem, _box, _children, _json_text, _root, _shown, _sweep, default_budget
@@ -193,11 +193,12 @@ def index_pairing(
         visited += block.e_w.size
         if visited > budget:
             raise BudgetExceededError(f"index pairing visited more than {budget} cubes")
-        verts = block.vertices
+        cut = ~_prunable(*_box(*block[2:]), proj.regions)  # a pruned cube's count is 0
+        verts = block.rows(cut).vertices
         inside = proj.contains(verts.reshape(-1, ifs.n)).reshape(verts.shape[:2])
         increments[block.level] += int(inside[:, 0::2].sum()) - int(inside[:, 1::2].sum())
         try:
-            block = sweep.send(~_prunable(*_box(*block[2:]), proj.regions))
+            block = sweep.send(cut)
         except StopIteration:
             break
     partial = list(accumulate(increments))
@@ -238,11 +239,7 @@ def component_certificate(
     ifs: IfsSystem, report: ComponentReport, budget: int | None = None
 ) -> NonvanishCertificate | None:
     """nonvanish_certificate from the level-one components already computed in report."""
-    target = None
-    for idx, comp in enumerate(report.components):
-        if comp.d0 != comp.d1:
-            target = idx
-            break
+    target = next((k for k, comp in enumerate(report.components) if comp.d0 != comp.d1), None)
     if target is None:
         return None
     comp = report.components[target]
@@ -268,18 +265,21 @@ def component_projection(ifs: IfsSystem, report, index: int) -> ProjectionSpec:
     mine = np.vstack([cubes.rows(np.array(comp.cubes, dtype=int) - 1).vertices.reshape(-1, ifs.n),
                       corners[list(comp.vertices)]])
     lo, hi = (np.vstack([side, corners]) for side in _box(*cubes[2:]))
-    # the other cubes and vertices, nearest box first: a box gap bounds the point distances
-    # below, so the first gap past the best distance ends the scan
-    gap = np.linalg.norm(np.maximum(np.maximum(lo - hi[own].max(0), lo[own].min(0) - hi), 0.0), axis=1)
+    box = lo[own].min(0)[None], hi[own].max(0)[None]  # the component's bounding box
+    # the other items, nearest box first: a box gap bounds point distances below, so the first gap
+    # past pad ends the scan; a pair within pad is so on every axis: only points near the other box count
+    gap = np.linalg.norm(np.maximum(np.maximum(lo - box[1], box[0] - hi), 0.0), axis=1)
     gap[own] = np.inf  # the component's own items sort last and are left out
     min_dist, step = np.inf, max(1, LEVEL_CHUNK >> ifs.n)
     for k in np.argsort(gap, kind="stable")[: len(gap) - len(own)]:
-        if gap[k] > min_dist + 1e-12:  # past the rounding of both, coordinates in [0, 1], n <= 12
+        if gap[k] > (pad := min_dist + 1e-12):  # past the rounding of both, coordinates in [0, 1], n <= 12
             break
         pts = cubes.rows(slice(k, k + 1)).vertices[0] if k < m else corners[k - m, None]
-        for a in range(0, len(mine), step):  # at most step of the own points at once
-            dists = np.linalg.norm(mine[a: a + step, None, :] - pts[None, :, :], axis=2)
-            min_dist = min(min_dist, float(dists.min()))
+        near = _near_boxes((lo[k, None], hi[k, None]), (mine, mine), pad)[1]
+        pts = pts[_near_boxes(box, (pts, pts), pad)[1]]
+        for a in range(0, len(near), step):  # at most step of the own points at once
+            dists = np.linalg.norm(mine[near[a: a + step], None, :] - pts[None, :, :], axis=2)
+            min_dist = min(min_dist, float(dists.min(initial=np.inf)))
     margin = 0.01 if not np.isfinite(min_dist) else min_dist / 4.0
     return ProjectionSpec(regions=tuple(closed_box(lo[k] - margin, hi[k] + margin) for k in own))
 

@@ -503,6 +503,34 @@ def test_integrate_arithmetic_error_is_invalid_input(capsys, expr):
     assert expr in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [["integrate", "--override-osc"], ["render"]])
+def test_a_one_map_sweep_past_the_recursion_limit(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # render writes its figure here
+    (tmp_path / "one.json").write_text(json.dumps(
+        {"n": 1, "maps": [{"ratio": 0.5, "matrix": [1], "translation": [0]}]}))
+    code, out, err = run_cli(capsys, *argv, "--file", "one.json", "--depth", "1000")
+    assert (code, err) == (0, "")
+
+
+_INTEGRATE = ["integrate", "--preset", "cantor_set", "--depth", "2"]
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["analyze", "--file", "deep.json"], ""),  # a JSON array 100,000 deep
+    (["pairing", "--preset", "cantor_set", "--proj", "deep.json"], ""),
+    (_INTEGRATE + ["--function=" + "-" * 500 + "x1"], ""),  # 500 nested negations
+    (_INTEGRATE + ["--function=log(x1 - x1)"], "cannot evaluate function expression 'log(x1 - x1)'"),
+], ids=["ifs-file", "projection-file", "nested-function", "math-domain"])
+def test_deep_or_undefined_input_is_invalid_input(capsys, tmp_path, monkeypatch, argv, prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["kind"] == "invalid-input" and doc["error"].startswith(prefix)
+
+
 def test_verify_takes_only_max_n(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "verify", "--out", "x.txt")

@@ -130,10 +130,14 @@ def test_level_blocks_order_contract(monkeypatch, name):
     ifs = preset(name)
     seen = set()
     by_length = {}
+    latest = {}  # the words of the latest block of each level
     for block in ifs_mod.iter_levels(ifs, 4):
         assert isinstance(block, PlacedCube) and block.n == ifs.n
         assert 1 <= block.e_w.size <= 5
         assert block.words.shape == (block.e_w.size, block.level)
+        latest[block.level] = set(map(tuple, block.words.tolist()))
+        if block.level:  # depth first: every prefix is a row of the latest block one level up
+            assert {word[:-1] for word in latest[block.level]} <= latest[block.level - 1]
         for i, word in enumerate(map(tuple, block.words.tolist())):
             assert word not in seen and word[:-1] in seen | {()}  # once, after its prefix
             seen.add(word)
@@ -187,6 +191,14 @@ def test_level_blocks_bounded_in_high_dimension():
         assert block.e_w.size * 4 ** (ifs.n - 1) <= 16 * ifs_mod.LEVEL_CHUNK
         rows += block.e_w.size
     assert rows == word_count(256, 2)
+
+
+def test_a_sweep_past_the_recursion_limit():
+    # one map gives depth + 1 words, so the budget admits a sweep thousands of levels deep
+    ifs = IfsSystem(1, (Similitude(0.999, np.eye(1), np.zeros(1)),))
+    levels = [(block.level, block.e_w.size) for block in iter_levels(ifs, 5000)]
+    assert levels == [(level, 1) for level in range(5001)]
+    assert sum(1 for _ in iter_placed(ifs, 5000)) == 5001
 
 
 def test_budget_guard():

@@ -393,12 +393,26 @@ def test_box_prune_test_matches_the_vertex_one(name, depth, visited):
         count += block.e_w.size
         prune = _prunable(*_box(*block[2:]), regions)
         assert prune.tolist() == _prunable_on_vertices(block.vertices, regions).tolist()
+        # so each dropped cube has as many even vertices inside the quadrant as odd ones
+        verts = block.rows(prune).vertices
+        inside = ProjectionSpec(regions).contains(verts.reshape(-1, ifs.n)).reshape(verts.shape[:2])
+        assert inside[:, 0::2].sum(axis=1).tolist() == inside[:, 1::2].sum(axis=1).tolist()
         pruned += int(prune.sum())
         try:
             block = sweep.send(~prune)
         except StopIteration:
             break
     assert count == visited and pruned > 0
+
+
+def test_certificate_pairing_tests_only_the_cubes_it_keeps(monkeypatch):
+    # cantor_dust8: each level-one cube lies inside the component's box or apart from it, so
+    # only the root's 256 vertices reach the membership test, none of a pruned cube's
+    given, contains = [], ProjectionSpec.contains
+    monkeypatch.setattr(ProjectionSpec, "contains",
+                        lambda self, points: given.append(len(points)) or contains(self, points))
+    cert = nonvanish_certificate(cantor_dust(8))
+    assert cert.pairing_matches and sum(given) == 256
 
 
 def test_level_one_layer_memory_is_bounded():
