@@ -232,8 +232,8 @@ def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
     """Stream the rows of iter_levels one cube at a time, in its order:
     each word once, after its prefix, the words of each length lexicographic.
     Row i holds the same views and scalars as block.rows(i)."""
-    for level, *fields in iter_levels(ifs, depth, budget=budget):
-        yield from map(PlacedCube._make, zip(repeat(level), *fields))
+    for level, *fields in iter_levels(ifs, depth, budget=budget):  # _make's call, without its frame
+        yield from map(tuple.__new__, repeat(PlacedCube), zip(repeat(level), *fields))
 
 
 def similarity_dimension(ifs: IfsSystem) -> float:

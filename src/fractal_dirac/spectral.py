@@ -260,9 +260,12 @@ def integrate_hausdorff(
     Deterministic mode sums ratio^dim_s weights times f at depth-J cube
     centers; chaos-game mode averages f over sample_count random depth-J words
     drawn with the same per-symbol weights; the sample_count * max(1, J)
-    placed cubes they visit must fit the budget.  f takes x of shape (n, m),
-    coordinate i of m points in x[i], and returns their m values or one
-    scalar for all; it is called once per block of centres or of samples.
+    placed cubes they visit must fit the budget.  The centre's images under
+    the N^L words of their innermost L < J symbols, N^L <= min(sample_count,
+    LEVEL_CHUNK), are tabled once in no more placed cubes than the
+    sample_count * L steps they save.  f takes x of shape (n, m), coordinate i
+    of m points in x[i], and returns their m values or one scalar for all; it
+    is called once per block of centres or of samples.
     """
     if not ifs.osc and not override_osc:
         raise ValueError(
@@ -275,28 +278,55 @@ def integrate_hausdorff(
         for block in iter_levels(ifs, spec.depth, budget=budget):
             if block.level != spec.depth:
                 continue
-            for e, value in zip(block.e_w.tolist(), _point_values(f, block.centers()).tolist()):
-                total += e**dim * value
+            # Python's e**dim once per distinct e_w (numpy's SIMD pow may round otherwise), and the
+            # terms summed left to right across blocks: accumulate is sequential, np.sum pairwise
+            uniq, which = np.unique(block.e_w, return_inverse=True)
+            terms = np.array([e**dim for e in uniq.tolist()])[which] * _point_values(f, block.centers())
+            terms[0] += total
+            total = float(np.add.accumulate(terms, out=terms)[-1])
         return total
     budget = default_budget() if budget is None else budget
     if spec.sample_count * max(1, spec.depth) > budget:  # the placed cubes the samples visit
         raise BudgetExceededError(
             f"drawing {_shown(spec.sample_count)} sample words of depth {_shown(spec.depth)} "
             f"exceeds the budget of {budget} placed cubes")
-    # inverse-CDF draws, as Generator.choice(p=...) makes them, LEVEL_CHUNK rows at a time
+    # inverse-CDF draws, as Generator.choice(p=...) makes them, LEVEL_CHUNK rows at a time: a draw in
+    # cell c of [0, 1) cut in `cells` counts the first[c] cdf entries <= c / cells, or, if an entry
+    # lies inside the cell (crossed), is searched for; small integer types keep a chunk small
     rng = np.random.default_rng(spec.seed)
     weights = ifs.ratios**dim
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
-    ratios, mats, trans = ifs.ratios, ifs.matrices, ifs.translations
+    big_n, depth = ifs.num_maps, spec.depth
+    cells = 1 << max(12, (16 * big_n).bit_length())
+    scaled = cdf * cells
+    first = scaled.searchsorted(np.arange(cells), side="right").astype(np.min_scalar_type(big_n - 1))
+    crossed = scaled.searchsorted(np.arange(1, cells + 1), side="left") > first
+
+    def step(s, pts):  # map s applied to each row of pts, r (M p) + b; take outruns mats[s]
+        out = np.einsum("kij,kj->ki", ifs.matrices.take(s, axis=0), pts)
+        out *= ifs.ratios.take(s)[:, None]
+        out += ifs.translations.take(s, axis=0)
+        return out
+
+    # row a N^m + b of each level of the table is map a applied to row b of the last
+    inner, table = 0, np.full((1, ifs.n), 0.5)
+    while inner + 1 < depth and big_n ** (inner + 1) <= min(spec.sample_count, LEVEL_CHUNK):
+        inner += 1
+        table = step(np.repeat(np.arange(big_n), table.shape[0]), np.tile(table, (big_n, 1)))
     values = np.empty(spec.sample_count)
     for start in range(0, spec.sample_count, LEVEL_CHUNK):
         k = min(LEVEL_CHUNK, spec.sample_count - start)
-        draws = cdf.searchsorted(rng.random((k, spec.depth)), side="right")
-        pts = np.full((k, ifs.n), 0.5)
-        for col in range(spec.depth - 1, -1, -1):
-            s = draws[:, col]
-            pts = ratios[s, None] * np.einsum("kij,kj->ki", mats[s], pts) + trans[s]
+        u = rng.random((k, depth))
+        u *= cells  # in place, and exact: cells is a power of two
+        draws = u.astype(np.min_scalar_type(cells - 1))  # each draw's cell, then its symbol
+        hit = crossed[draws]
+        u = u[hit]  # only the draws in crossed cells are kept
+        draws = first[draws]
+        draws[hit] = scaled.searchsorted(u, side="right")
+        pts = table[draws[:, depth - inner:] @ big_n ** np.arange(inner - 1, -1, -1)]
+        for col in range(depth - inner - 1, -1, -1):
+            pts = step(draws[:, col], pts)
         values[start: start + k] = _point_values(f, pts)
     return float(values.mean())
 

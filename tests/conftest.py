@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fractal_dirac import IfsSystem, Similitude, presets
+from fractal_dirac import IfsSystem, Similitude, presets, similarity_dimension
 from fractal_dirac.components import INTERSECT_TOL
-from fractal_dirac.ifs import _children, _root
+from fractal_dirac.ifs import LEVEL_CHUNK, _children, _root, iter_levels
 
 # registry filled by the acceptance module; one line per criterion at session end
 ACCEPTANCE_LINES = []
@@ -42,6 +42,40 @@ def compose(ifs, word):
     for s in word:
         cube = _children(ifs, cube).rows(slice(s - 1, s))
     return cube.rows(0)
+
+
+def chaos_game_oracle(ifs, f, spec):
+    """The chaos game with one searchsorted per draw and every sample stepped through all its
+    symbols, innermost first, LEVEL_CHUNK samples at a time: the reference for
+    integrate_hausdorff's bucketed draws and innermost-symbol table, which must equal it bit for bit."""
+    rng = np.random.default_rng(spec.seed)
+    weights = ifs.ratios**similarity_dimension(ifs)
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    ratios, mats, trans = ifs.ratios, ifs.matrices, ifs.translations
+    values = np.empty(spec.sample_count)
+    for start in range(0, spec.sample_count, LEVEL_CHUNK):
+        k = min(LEVEL_CHUNK, spec.sample_count - start)
+        draws = cdf.searchsorted(rng.random((k, spec.depth)), side="right")
+        pts = np.full((k, ifs.n), 0.5)
+        for col in range(spec.depth - 1, -1, -1):
+            s = draws[:, col]
+            pts = ratios[s, None] * np.einsum("kij,kj->ki", mats[s], pts) + trans[s]
+        values[start: start + k] = np.broadcast_to(np.asarray(f(pts.T), dtype=float), (k,))
+    return float(values.mean())
+
+
+def centre_sum_oracle(ifs, f, depth):
+    """The deterministic quadrature one centre at a time: Python's e**dim_s times f at the
+    centre, added to a running total in word order; integrate_hausdorff must equal it bit for bit."""
+    dim = similarity_dimension(ifs)
+    total = 0.0
+    for block in iter_levels(ifs, depth):
+        if block.level == depth:
+            values = np.broadcast_to(np.asarray(f(block.centers().T), dtype=float), block.e_w.shape)
+            for e, value in zip(block.e_w.tolist(), values.tolist()):
+                total += e**dim * value
+    return total
 
 
 def grading(n):

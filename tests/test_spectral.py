@@ -41,7 +41,7 @@ from fractal_dirac.spectral import (
     volume_residue_samples,
 )
 
-from conftest import random_orthogonal
+from conftest import centre_sum_oracle, chaos_game_oracle, random_orthogonal
 
 LOG2 = math.log(2.0)
 
@@ -486,6 +486,106 @@ def test_integrate_chaos_game_values_are_pinned(name, depth, samples, seed, valu
     # Generator.choice(p=...) call over all samples, so the mean is unchanged
     spec = QuadratureSpec(depth=depth, mode="chaos_game", sample_count=samples, seed=seed)
     assert integrate_hausdorff(preset(name), lambda x: 0.9 * x[0] + 1.7 * x[-1], spec) == value
+
+
+def _tiny_ratio_system():
+    """n = 1, three maps of ratio ~1e-9 between two large ones: their cdf entries lie within
+    ~1e-6 of each other, strictly inside one cell of the bucketed draws."""
+    maps = [(0.5, 1.0, 0.0), (1e-9, 1.0, 0.55), (2e-9, -1.0, 0.56), (1e-9, 1.0, 0.57), (0.3, -1.0, 1.0)]
+    return IfsSystem(1, tuple(Similitude(r, np.array([[m]]), np.array([b])) for r, m, b in maps))
+
+
+QUADRATURE_SYSTEMS = {
+    **{name: lambda name=name: preset(name) for name in [
+        "sierpinski_carpet", "menger_sponge", "cantor_dust2", "cantor_dust6", "cantor_dust8",
+        "cantor_dust10", "cantor_dust12", "rotation", "rotation:0.3", "non_osc", "cantor_set",
+        "lifted_carpet", "lifted_cantor", "sc3", "sc4"]},
+    "tiny": _tiny_ratio_system,
+    "one": lambda: IfsSystem(1, (Similitude(0.5, np.eye(1), np.zeros(1)),)),
+}
+# an integrand linear in the coordinates, a nonlinear one, and one scalar for all points
+INTEGRANDS = [lambda x: 0.9 * x[0] + 1.7 * x[-1], lambda x: np.sin(3.0 * x[0]) * x[-1] + x[0] ** 2,
+              lambda x: 0.25]
+
+
+def _chaos_cases(name, ifs):
+    """(sample_count, depth): counts below N (no table), J = 1 (no table either), no symbols
+    (J = 0), 30 symbols, exactly N^L samples (4096 = 2^12 = 8^4 = 64^2, 8000 = 20^3), and
+    LEVEL_CHUNK - 1, + 0 and + 1; 13 chunks of the benchmark's depth on two systems."""
+    cases = [(1, 7), (3, 5), (19, 4), (999, 6), (50, 0), (10, 1), (5, 30), (4096, 2)]
+    if ifs.n <= 8:
+        cases += [(4096, 5), (8000, 4), (LEVEL_CHUNK - 1, 3), (LEVEL_CHUNK, 3), (LEVEL_CHUNK + 1, 2)]
+    if name in ("sierpinski_carpet", "tiny"):
+        cases += [(200000, 10)]
+    return cases
+
+
+@pytest.mark.parametrize("name", QUADRATURE_SYSTEMS)
+def test_chaos_game_is_the_per_draw_search_bit_for_bit(name):
+    ifs = QUADRATURE_SYSTEMS[name]()
+    for count, depth in _chaos_cases(name, ifs):
+        spec = QuadratureSpec(depth=depth, mode="chaos_game", sample_count=count, seed=count + depth)
+        for f in INTEGRANDS:
+            got = integrate_hausdorff(ifs, f, spec, override_osc=True)
+            assert got == chaos_game_oracle(ifs, f, spec), (count, depth)
+
+
+@pytest.mark.parametrize("name", QUADRATURE_SYSTEMS)
+def test_deterministic_quadrature_is_the_per_centre_sum_bit_for_bit(name):
+    ifs = QUADRATURE_SYSTEMS[name]()
+    for depth in range(6):
+        if ifs.num_maps**depth > 20000:
+            break
+        for f in INTEGRANDS:
+            got = integrate_hausdorff(ifs, f, QuadratureSpec(depth=depth), override_osc=True)
+            assert got == centre_sum_oracle(ifs, f, depth), depth
+
+
+class _ExactDraws:
+    """Stands in for numpy's Generator: random(shape) repeats a fixed list of draws."""
+
+    def __init__(self, pool):
+        self.pool = pool
+
+    def random(self, shape):
+        return np.resize(self.pool, shape)
+
+
+@pytest.mark.parametrize("name", ["menger_sponge", "sierpinski_carpet", "tiny", "cantor_dust12"])
+def test_draws_on_cdf_entries_and_cell_edges_count_as_searchsorted_does(monkeypatch, name):
+    # a draw equal to a cdf entry counts it, whether the entry is a cell edge (the carpet's
+    # eighths, the dust's 4096ths) or lies inside a cell (the sponge's twentieths, the tiny
+    # maps' entries); random draws hit an entry with probability ~2^-53, so they are set here
+    ifs = QUADRATURE_SYSTEMS[name]()
+    weights = ifs.ratios ** similarity_dimension(ifs)
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    edges = np.arange(4096) / 4096  # edges of the cells for every power of two >= 4096 cells
+    pool = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1), edges,
+                           np.nextafter(edges, 1), np.nextafter(edges[1:], 0)])
+    pool = pool[pool < 1.0]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ExactDraws(pool))
+    spec = QuadratureSpec(depth=3, mode="chaos_game", sample_count=-(-pool.size // 3), seed=0)
+    f = INTEGRANDS[0]
+    assert integrate_hausdorff(ifs, f, spec, override_osc=True) == chaos_game_oracle(ifs, f, spec)
+
+
+@pytest.mark.parametrize("name,spec,loop_peak_mb", [
+    ("cantor_dust2", QuadratureSpec(depth=10, mode="chaos_game", sample_count=20000, seed=12345), 2.65),
+    ("menger_sponge", QuadratureSpec(depth=4), 4.41),
+])
+def test_quadrature_peak_memory_stays_at_the_loops(name, spec, loop_peak_mb):
+    # loop_peak_mb: the traced peak of the library while it searched each draw and
+    # summed one centre at a time (numpy 2.4.6), and 0.5 MB of slack
+    ifs, f = preset(name), INTEGRANDS[0]
+    integrate_hausdorff(ifs, f, spec)  # first-use allocations (the Generator's) are not the quadrature's
+    tracemalloc.start()
+    try:
+        integrate_hausdorff(ifs, f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (loop_peak_mb + 0.5) * 2**20
 
 
 def test_integrate_requires_osc_flag():
