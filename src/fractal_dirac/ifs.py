@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import _check_orthogonal
-from .cube import _check_dim, _frozen, vertex_bits
+from .cube import _check_dim, _frozen
 from .errors import BudgetExceededError
 
 CONTAINMENT_TOL = 1e-9
@@ -41,11 +41,18 @@ def default_budget() -> int:
     return value
 
 
+def _once(transform):
+    """A transform stack whose rows all share one matrix (stride 0) as its first row, else itself:
+    what is formed from it is then formed once and broadcast over the rows."""
+    return transform[:1] if transform.ndim == 3 and not transform.strides[0] else transform
+
+
 def _box(e_w, transform, offset):
     """Axis boxes (lo, hi), each (..., n), of placed cubes x -> e_w * transform @ x + offset: row i of
     transform summed over its negative (lo) or positive (hi) entries in axis order, as `vertices` sums
-    a subset of it; rounding is monotone, so lo and hi are bit for bit the min and max of `vertices`."""
-    e_w = np.asarray(e_w)[..., None]
+    a subset of it; rounding is monotone, so lo and hi are bit for bit the min and max of `vertices`
+    (a shared transform is summed once)."""
+    e_w, transform = np.asarray(e_w)[..., None], _once(transform)
     # cumsum adds each row in axis order, as `vertices` does; np.sum's pairwise order rounds otherwise
     sums = (bound(transform, 0.0).cumsum(axis=-1)[..., -1] for bound in (np.minimum, np.maximum))
     return tuple(offset + e_w * s for s in sums)
@@ -82,7 +89,8 @@ class Similitude:
 @dataclass(frozen=True)
 class IfsSystem:
     """Ordered family of similitudes on [0,1]^n; its map table, row s - 1 for symbol s,
-    is stacked once, read-only: ratios (N,), matrices (N, n, n), translations (N, n)."""
+    is stacked once, read-only: ratios (N,), matrices (N, n, n), translations (N, n).
+    homothety is True when every matrix == the identity (maps x -> r x + b)."""
 
     n: int
     maps: tuple
@@ -99,6 +107,7 @@ class IfsSystem:
         columns = zip(*((m.ratio, m.matrix, m.translation) for m in self.maps))
         for table, rows in zip(("ratios", "matrices", "translations"), columns):
             object.__setattr__(self, table, _frozen(np.array(rows)))
+        object.__setattr__(self, "homothety", bool((self.matrices == np.eye(self.n)).all()))
 
     @property
     def num_maps(self) -> int:
@@ -112,6 +121,8 @@ class PlacedCube(NamedTuple):
     words[i] (symbols 1..N, in the smallest unsigned type that holds N); a single
     cube (iter_placed, rows(i)) has none.  The word's maps had their
     orthogonal parts checked once; placed_coordinate_form checks a hand-built cube.
+    In a homothety system every row shares one read-only identity transform, a
+    stride-0 broadcast that rows() keeps and vertices, centers and _box read once.
     A named 5-tuple, so a row costs one tuple and its fields cannot be reassigned.
     """
 
@@ -127,36 +138,49 @@ class PlacedCube(NamedTuple):
 
     @property
     def vertices(self) -> np.ndarray:
-        """Placed vertex coordinates, shape (..., 2^n, n), cube numbering preserved."""
-        corners = vertex_bits(self.n) @ np.swapaxes(self.transform, -1, -2)
-        corners *= np.asarray(self.e_w)[..., None, None]
+        """Placed vertex coordinates, shape (..., 2^n, n), cube numbering preserved.  By mirror
+        doubling, vertex 2^j + i is vertex 2^j - 1 - i plus column j of transform, so each vertex
+        sums its columns in axis order, bit for bit vertex_bits(n) @ transform^T."""
+        t, n = _once(self.transform), self.n
+        corners = np.zeros(t.shape[:-2] + (2**n, n))
+        for j in range(n):  # the first 2^j vertices mirrored, column j added
+            np.add(corners[..., (1 << j) - 1::-1, :], t[..., None, :, j], out=corners[..., 1 << j: 2 << j, :])
+        e_w = np.asarray(self.e_w)[..., None, None]
+        corners = np.multiply(corners, e_w, out=corners if t is self.transform else None)
         corners += self.offset[..., None, :]
         return corners
 
     def rows(self, index) -> "PlacedCube":
-        """One cube for an integer index, a block for a slice or a mask."""
-        return PlacedCube(self.level, self.words[index], self.e_w[index],
-                          self.transform[index], self.offset[index])
+        """One cube for an integer index, a block for a slice or a mask (a shared transform kept shared)."""
+        e_w, t = self.e_w[index], self.transform
+        t = np.broadcast_to(t[:1], e_w.shape + t.shape[1:]) if e_w.ndim and _once(t) is not t else t[index]
+        return PlacedCube(self.level, self.words[index], e_w, t, self.offset[index])
 
     def centers(self) -> np.ndarray:
         half = np.full(self.n, 0.5)
-        return self.offset + np.asarray(self.e_w)[..., None] * (self.transform @ half)
+        return self.offset + np.asarray(self.e_w)[..., None] * (_once(self.transform) @ half)
 
 
 def _children(ifs: IfsSystem, block: PlacedCube) -> PlacedCube:
     """Child step: every map appended (innermost) to every row, symbol fastest."""
     # composite g, appended map f: (g o f)(x) = e_g T_g (r T x + b) + b_g
-    e, t, big_n, n = block.e_w, block.transform[:, None], ifs.num_maps, ifs.n
+    e, big_n, n = block.e_w, ifs.num_maps, ifs.n
     symbols = np.tile(np.arange(1, big_n + 1, dtype=block.words.dtype), e.size)
     words = np.column_stack([np.repeat(block.words, big_n, axis=0), symbols])
-    offset = e[:, None, None] * (t @ ifs.translations[..., None])[..., 0] + block.offset[:, None]
+    if ifs.homothety:  # T = I exactly, so T M = T and T b = b bit for bit
+        transform = np.broadcast_to(np.eye(n), (e.size * big_n, n, n))
+        offset = e[:, None, None] * ifs.translations + block.offset[:, None]
+    else:  # @ keeps the rounding, fused or not, that the rotated systems' pins record
+        t = block.transform[:, None]
+        transform = (t @ ifs.matrices).reshape(-1, n, n)
+        offset = e[:, None, None] * (t @ ifs.translations[..., None])[..., 0] + block.offset[:, None]
     return PlacedCube(block.level + 1, words, np.multiply.outer(e, ifs.ratios).reshape(-1),
-                      (t @ ifs.matrices).reshape(-1, n, n), offset.reshape(-1, n))
+                      transform, offset.reshape(-1, n))
 
 
 def _root(ifs: IfsSystem) -> PlacedCube:
     n, symbol = ifs.n, np.min_scalar_type(ifs.num_maps)
-    return PlacedCube(0, np.zeros((1, 0), symbol), np.ones(1), np.eye(n)[None], np.zeros((1, n)))
+    return PlacedCube(0, np.zeros((1, 0), symbol), np.ones(1), _frozen(np.eye(n)[None]), np.zeros((1, n)))
 
 
 def word_count(num_symbols: int, depth: int) -> int:
@@ -221,6 +245,7 @@ def iter_levels(ifs: IfsSystem, depth: int, budget: int | None = None):
     2^(n-1) x 2^(n-1) arrays hold at most 16 LEVEL_CHUNK entries to n = 10.  A
     row mask sent back for a block visits only the subtrees of the rows it
     marks (a for loop sends None: all).  depth and budget are checked at the call.
+    In a homothety system a block's transform is one shared read-only identity.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -231,9 +256,10 @@ def iter_levels(ifs: IfsSystem, depth: int, budget: int | None = None):
 def iter_placed(ifs: IfsSystem, depth: int, budget: int | None = None):
     """Stream the rows of iter_levels one cube at a time, in its order:
     each word once, after its prefix, the words of each length lexicographic.
-    Row i holds the same views and scalars as block.rows(i)."""
-    for level, *fields in iter_levels(ifs, depth, budget=budget):  # _make's call, without its frame
-        yield from map(tuple.__new__, repeat(PlacedCube), zip(repeat(level), *fields))
+    Row i holds the views and scalars of block.rows(i), a shared transform as one view per block."""
+    for level, words, e_w, t, offset in iter_levels(ifs, depth, budget=budget):  # _make's call, frameless
+        t = repeat(t[0]) if _once(t) is not t else t  # a sweep's blocks are never empty
+        yield from map(tuple.__new__, repeat(PlacedCube), zip(repeat(level), words, e_w, t, offset))
 
 
 def similarity_dimension(ifs: IfsSystem) -> float:

@@ -303,9 +303,9 @@ def integrate_hausdorff(
     first = scaled.searchsorted(np.arange(cells), side="right").astype(np.min_scalar_type(big_n - 1))
     crossed = scaled.searchsorted(np.arange(1, cells + 1), side="left") > first
 
-    def step(s, pts):  # map s applied to each row of pts, r (M p) + b; take outruns mats[s]
-        out = np.einsum("kij,kj->ki", ifs.matrices.take(s, axis=0), pts)
-        out *= ifs.ratios.take(s)[:, None]
+    def step(s, pts):  # map s applied to each row of pts, a fresh array it overwrites: r (M p) + b
+        out = pts if ifs.homothety else np.einsum("kij,kj->ki", ifs.matrices.take(s, axis=0), pts)
+        out *= ifs.ratios.take(s)[:, None]  # M p = p when every M is I: no gather; take outruns mats[s]
         out += ifs.translations.take(s, axis=0)
         return out
 
@@ -353,7 +353,7 @@ def weighted_functional(
         for block in iter_levels(ifs, depth, budget=budget):
             tau = _vertex_values(f, block).sum(axis=1)
             for m, z in enumerate(zs):
-                level_sums[m, block.level] += float(np.dot(block.e_w ** (z * p), tau))
+                level_sums[m, block.level] += float((block.e_w ** (z * p) * tau).sum())  # not BLAS
         return [float(sums.sum()) + float(sums[depth]) * c / (1.0 - c)
                 for sums, c in zip(level_sums, cs)]
 
@@ -438,15 +438,16 @@ def _counting(classes, n, lam):
 
 
 def spectral_dimension_slope(ifs: IfsSystem, depth: int = 10):
-    """Least-squares slope of log counting function against log threshold."""
+    """Least-squares slope of log counting function against log threshold, by the centred
+    closed form sum(dx dy) / sum(dx^2) in numpy reductions, so no BLAS kernel sets its bits."""
     if depth < SLOPE_K_MIN + 1:  # the fit needs two thresholds
         raise ValueError(f"depth must be at least {SLOPE_K_MIN + 1}, got {depth}")
     classes = _ratio_classes(ifs, depth)
     ks = range(SLOPE_K_MIN, depth + 1)
     xs = np.array([k * math.log(SLOPE_BASE) for k in ks])
     ys = np.array([math.log(_counting(classes, ifs.n, SLOPE_BASE**k)) for k in ks])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    return float((dx * dy).sum() / (dx * dx).sum())
 
 
 @dataclass(frozen=True)

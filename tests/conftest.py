@@ -3,7 +3,8 @@ import pytest
 
 from fractal_dirac import IfsSystem, Similitude, presets, similarity_dimension
 from fractal_dirac.components import INTERSECT_TOL
-from fractal_dirac.ifs import LEVEL_CHUNK, _children, _root, iter_levels
+from fractal_dirac.cube import vertex_bits
+from fractal_dirac.ifs import LEVEL_CHUNK, PlacedCube, _children, _root, iter_levels
 
 # registry filled by the acceptance module; one line per criterion at session end
 ACCEPTANCE_LINES = []
@@ -42,6 +43,43 @@ def compose(ifs, word):
     for s in word:
         cube = _children(ifs, cube).rows(slice(s - 1, s))
     return cube.rows(0)
+
+
+def bits(a):
+    """The float64 array as int64 words: == on them tells -0.0 from 0.0 and compares NaN payloads."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def vertices_oracle(cube):
+    """Placed vertices as one BLAS product of the 0/1 vertex table with the transform, then
+    scaled and shifted: the reference for PlacedCube.vertices' mirror doubling, bit for bit."""
+    corners = vertex_bits(cube.n) @ np.swapaxes(cube.transform, -1, -2)
+    corners *= np.asarray(cube.e_w)[..., None, None]
+    corners += cube.offset[..., None, :]
+    return corners
+
+
+def children_oracle(ifs, block):
+    """The child step with every product through @, for any system (T M and T b formed even when
+    T = I): the reference for the engine's shared identity transforms, bit for bit."""
+    e, t, big_n, n = block.e_w, block.transform[:, None], ifs.num_maps, ifs.n
+    symbols = np.tile(np.arange(1, big_n + 1, dtype=block.words.dtype), e.size)
+    words = np.column_stack([np.repeat(block.words, big_n, axis=0), symbols])
+    offset = e[:, None, None] * (t @ ifs.translations[..., None])[..., 0] + block.offset[:, None]
+    return PlacedCube(block.level + 1, words, np.multiply.outer(e, ifs.ratios).reshape(-1),
+                      (t @ ifs.matrices).reshape(-1, n, n), offset.reshape(-1, n))
+
+
+def levels_oracle(ifs, depth):
+    """Every word of each length 0..depth as one block, lexicographic, by children_oracle from a
+    root whose identity transform is a plain array."""
+    n = ifs.n
+    level = PlacedCube(0, np.zeros((1, 0), np.min_scalar_type(ifs.num_maps)), np.ones(1),
+                       np.eye(n)[None].copy(), np.zeros((1, n)))
+    levels = [level]
+    for _ in range(depth):
+        levels.append(level := children_oracle(ifs, level))
+    return levels
 
 
 def chaos_game_oracle(ifs, f, spec):

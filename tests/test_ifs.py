@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import LEVEL_ONE_SYSTEMS, NEAR_TOUCHING, compose, random_orthogonal
+from conftest import (
+    LEVEL_ONE_SYSTEMS,
+    NEAR_TOUCHING,
+    bits,
+    compose,
+    levels_oracle,
+    random_orthogonal,
+    vertices_oracle,
+)
 from fractal_dirac import (
     BudgetExceededError,
     IfsSystem,
@@ -100,14 +108,28 @@ def test_iter_placed_matches_enumeration():
         assert np.array_equal(cube.vertices, ref.vertices)
 
 
-@pytest.mark.parametrize("name", ["cantor_set", "menger_sponge", "rotation", "non_osc"])
+def dihedral_quarters():
+    """Four maps of ratio 1/2 onto the quarters of the square, each with its own orthogonal part
+    (the identity, a quarter turn, a reflection and the axis swap), so a block's rows differ in T."""
+    mats = [np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([-1.0, 1.0]),
+            np.array([[0.0, 1.0], [1.0, 0.0]])]
+    maps = [Similitude(0.5, m, 0.5 * np.array(c) - 0.5 * np.minimum(m, 0.0).sum(axis=1))
+            for m, c in zip(mats, [(0, 0), (1, 0), (0, 1), (1, 1)])]
+    return IfsSystem(2, tuple(maps), label="dihedral_quarters")
+
+
+@pytest.mark.parametrize("name", ["cantor_set", "menger_sponge", "rotation", "non_osc", "dihedral"])
 def test_iter_placed_rows_equal_the_level_rows(name):
     # the streamed rows are the level rows themselves: same values, dtypes and types
-    ifs = preset(name)
+    ifs = dihedral_quarters() if name == "dihedral" else preset(name)
     rows = iter_placed(ifs, 3)
     for block in iter_levels(ifs, 3):
+        shared = None
         for i in range(block.e_w.size):
             row, ref = next(rows), block.rows(i)
+            if ifs.homothety:  # one read-only identity view for every row of the block
+                shared = row.transform if shared is None else shared
+                assert row.transform is shared and not shared.flags.writeable
             assert isinstance(row, PlacedCube) and row.level == ref.level == block.level
             assert type(row.e_w) is type(ref.e_w) and row.e_w == ref.e_w
             for field in ("words", "transform", "offset"):
@@ -180,6 +202,103 @@ def test_level_rows_equal_recorded_values(monkeypatch, name, word, e_w, transfor
             assert np.array_equal(block.offset[i], offset)
             return
     pytest.fail(f"word {word} not enumerated")
+
+
+# every preset whose maps are all x -> r x + b (rotation:0's matrix holds a -0.0, which == 0.0)
+HOMOTHETY_PRESETS = (
+    ["cantor_set", "lifted_cantor", "sierpinski_carpet", "menger_sponge", "lifted_carpet",
+     "non_osc", "rotation:0", "sc2", "sc3", "sc4"]
+    + [f"cantor_dust{n}" for n in range(1, 13)]
+)
+
+
+def test_the_homothety_flag_is_read_off_the_matrices():
+    assert all(preset(name).homothety is True for name in HOMOTHETY_PRESETS)
+    assert not any(preset(name).homothety for name in ["rotation", "rotation:0.5", "rotation:1.3"])
+    eye, flip = np.eye(2), np.diag([-1.0, 1.0])
+    maps = (Similitude(0.5, eye, np.zeros(2)), Similitude(0.5, flip, np.array([1.0, 0.0])))
+    assert IfsSystem(2, maps[:1]).homothety and not IfsSystem(2, maps).homothety
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("name", HOMOTHETY_PRESETS)
+def test_homothety_blocks_are_the_matmul_route_bit_for_bit(name, masked):
+    # each block of the sweep, to the deepest depth <= 3 with N^depth <= 2^16 (cantor_dust9..12:
+    # depth 1), against the rows of the same words formed with T M and T b through @; a mask
+    # keeping the rows whose word index is not 1 mod 3 must visit just the subtrees it keeps
+    ifs = preset(name)
+    big_n = ifs.num_maps
+    depth = max(d for d in range(4) if big_n**d <= 1 << 16)
+    levels, kept = levels_oracle(ifs, depth), {}
+    sweep = iter_levels(ifs, depth)
+    block, seen = next(sweep), [0] * (depth + 1)
+    while True:
+        level = block.level
+        index = (block.words.astype(np.int64) - 1) @ big_n ** np.arange(level)[::-1]
+        ref = levels[level].rows(index)
+        assert np.array_equal(block.words, ref.words) and block.words.dtype == ref.words.dtype
+        for got, want in zip(block[2:], ref[2:]):
+            assert np.array_equal(bits(got), bits(want))
+        assert block.transform.strides[0] == 0 and not block.transform.flags.writeable
+        centre = ref.offset + ref.e_w[:, None] * (ref.transform @ np.full(ifs.n, 0.5))
+        assert np.array_equal(bits(block.centers()), bits(centre))
+        for got, want in zip(_box(*block[2:]), _box(*ref[2:])):
+            assert np.array_equal(bits(got), bits(want))
+        if ifs.n <= 4:
+            assert np.array_equal(bits(block.vertices), bits(vertices_oracle(ref)))
+        if level:  # every row's prefix was kept
+            assert set((index // big_n).tolist()) <= kept[level - 1]
+        seen[level] += index.size
+        keep = index % 3 != 1 if masked else np.ones(index.size, bool)
+        kept.setdefault(level, set()).update(index[keep].tolist())
+        try:
+            block = sweep.send(keep if masked else None)
+        except StopIteration:
+            break
+    assert seen == [1] + [big_n * len(kept[level]) for level in range(depth)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 300])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_vertices_are_the_blas_product_bit_for_bit(rng, n, rows):
+    t = np.array([random_orthogonal(rng, n) for _ in range(rows)]).reshape(rows, n, n)
+    block = PlacedCube(1, np.ones((rows, 1), np.uint8), rng.uniform(1e-3, 1.0, rows), t,
+                       rng.uniform(-1.0, 1.0, (rows, n)))
+    got = block.vertices
+    assert got.shape == (rows, 2**n, n)
+    for start in range(0, max(rows, 1), 25):  # the oracle 25 rows at a time (n = 12: 9.8 MB)
+        part = block.rows(slice(start, start + 25))
+        assert np.array_equal(bits(got[start: start + 25]), bits(vertices_oracle(part)))
+    if rows:
+        cube = block.rows(rows - 1)
+        assert np.array_equal(bits(cube.vertices), bits(vertices_oracle(cube)))
+
+
+@pytest.mark.parametrize("name", ["rotation", "rotation:0.5", "rotation:0.7", "rotation:1.3", "dihedral"])
+def test_rotation_vertices_are_the_blas_product_bit_for_bit(name):
+    for block in iter_levels(dihedral_quarters() if name == "dihedral" else preset(name), 4):
+        assert block.transform.flags.writeable == (block.level > 0)  # @ below the shared root
+        assert np.array_equal(bits(block.vertices), bits(vertices_oracle(block)))
+        cube = block.rows(block.e_w.size - 1)
+        assert np.array_equal(bits(cube.vertices), bits(vertices_oracle(cube)))
+
+
+@pytest.mark.parametrize("name", ["cantor_set", "menger_sponge", "cantor_dust12"])
+def test_a_shared_transform_stays_shared_down_to_no_rows(name):
+    ifs = preset(name)
+    n, block = ifs.n, _children(ifs, _root(ifs))
+    half = block.rows(np.arange(ifs.num_maps) % 2 == 0)  # a mask, yet one broadcast identity
+    assert half.transform.shape == (ifs.num_maps // 2, n, n) and half.transform.strides[0] == 0
+    assert np.array_equal(half.transform, np.broadcast_to(np.eye(n), half.transform.shape))
+    with pytest.raises(ValueError):
+        half.transform[0, 0, 0] = 2.0
+    assert np.array_equal(block.rows(1).transform, np.eye(n))
+    none = block.rows(np.zeros(ifs.num_maps, bool))
+    assert none.transform.shape == (0, n, n)
+    assert none.rows(slice(0, 3)).transform.shape == none.rows(none.e_w > 0).transform.shape == (0, n, n)
+    assert none.vertices.shape == (0, 2**n, n) and none.centers().shape == (0, n)
+    assert [side.shape for side in _box(*none[2:])] == [(0, n), (0, n)]
+    assert _children(ifs, none).transform.shape == (0, n, n)
 
 
 def test_level_blocks_bounded_in_high_dimension():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,13 @@ from fractal_dirac import calculus, spectral
 from fractal_dirac.ifs import LEVEL_CHUNK, Similitude, iter_levels
 from fractal_dirac.presets import non_osc
 from fractal_dirac.spectral import (
+    RESIDUE_DELTAS,
+    SLOPE_BASE,
+    _counting,
+    _ratio_classes,
+    _ratio_power_sum,
     _residue_limit,
+    _vertex_values,
     _volume_scalar,
     abs_volume_block_deviation,
     residue_limit_samples,
@@ -434,12 +441,43 @@ def test_integrands_get_whole_blocks_of_points():
     assert integrate_hausdorff(menger, lambda x: 1.0, det) == pytest.approx(1.0, abs=1e-10)
 
 
+def _ulps_from(value, exact):
+    """Distance of the float value from the exact rational, in units of value's last place."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(value))
+
+
+def _exact_weighted_functional(ifs, f, depth):
+    """weighted_functional's formula in exact rationals on the library's own floats: the powers
+    e_w^(z p), the per-cube vertex sums tau and the ratio sums c; level sums, tail and extrapolation exact."""
+    p = similarity_dimension(ifs)
+    blocks = [(b.level, b.e_w, _vertex_values(f, b).sum(axis=1)) for b in iter_levels(ifs, depth)]
+    samples = []
+    for delta in RESIDUE_DELTAS:
+        z = 1.0 + delta
+        c = Fraction(_ratio_power_sum(ifs, z * p))
+        levels = [Fraction(0)] * (depth + 1)
+        for level, e_w, tau in blocks:  # one product per distinct power
+            powers, which = np.unique(e_w ** (z * p), return_inverse=True)
+            for k, power in enumerate(powers.tolist()):
+                levels[level] += Fraction(power) * sum(map(Fraction, tau[which == k].tolist()))
+        samples.append(Fraction(delta) * (sum(levels) + levels[depth] * c / (1 - c)))
+    xs = [Fraction(d) for d in RESIDUE_DELTAS]
+    for k in range(1, len(xs)):  # _residue_limit's Neville table
+        for i in range(len(xs) - k):
+            samples[i] = (xs[i] * samples[i + 1] - xs[i + k] * samples[i]) / (xs[i] - xs[i + k])
+    return samples[0]
+
+
 def test_block_integrands_keep_the_per_point_values():
     # the values the integrands gave when they were called one point at a time:
-    # the same floats, summed in the same order
+    # the same floats, summed in the same order; the level sums are numpy reductions,
+    # not a BLAS dot, so the pin holds under every OpenBLAS kernel
     f = lambda x: 0.9 * x[0] + 1.1 * x[1] + 0.2
     report = weighted_factorization(cantor_dust(2), f, 8, quad_depth=1)[0]
     assert report.value == 3.4624676194713975
+    # the float sums round each of ~87k products and sums once; they land within 4 ulps of
+    # the exact value (0.49 ulps when the pin was recorded)
+    assert _ulps_from(report.value, _exact_weighted_functional(cantor_dust(2), f, 8)) <= 4
     f = lambda x: 1.1 * x[0] * x[1] + 0.3 * x[1]
     report = commutator_norm_check(sierpinski_carpet(), f, 5)
     assert (report.blocks, report.max_weak_ratio, report.max_sharp_ratio, report.bound_holds) == (
@@ -727,11 +765,22 @@ def test_spectral_dimension_slope_needs_two_thresholds():
     for depth in range(spectral.SLOPE_K_MIN + 1):
         with pytest.raises(ValueError, match="depth must be at least 4"):
             spectral_dimension_slope(cs, depth)
-    # pinned least-squares slopes at the shallowest accepted depth and at 10
-    assert spectral_dimension_slope(cs, 4) == 0.6607763365390872
-    assert spectral_dimension_slope(cs, 10) == 0.637946380137816
-    assert spectral_dimension_slope(non_osc(), 4) == 0.9701910139108624
-    assert spectral_dimension_slope(non_osc(), 10) == 1.4312623746258122
+    # pinned least-squares slopes at the shallowest accepted depth and at 10, by the centred
+    # closed form in numpy reductions (np.polyfit's BLAS-kernel bits are not pinned)
+    pins = [(cs, 4, 0.6607763365390875), (cs, 10, 0.6379463801378158),
+            (non_osc(), 4, 0.9701910139108617), (non_osc(), 10, 1.431262374625812)]
+    for ifs, depth, pin in pins:
+        assert spectral_dimension_slope(ifs, depth) == pin
+        # the same formula in exact rationals on the same log floats: the centring, the
+        # products and the two sums of at most 8 terms stay within 4 ulps (2 when pinned)
+        classes = _ratio_classes(ifs, depth)
+        ks = range(spectral.SLOPE_K_MIN, depth + 1)
+        xs = [Fraction(k * math.log(SLOPE_BASE)) for k in ks]
+        ys = [Fraction(math.log(_counting(classes, ifs.n, SLOPE_BASE**k))) for k in ks]
+        dx = [x - sum(xs) / len(xs) for x in xs]
+        dy = [y - sum(ys) / len(ys) for y in ys]
+        exact = sum(a * b for a, b in zip(dx, dy)) / sum(a * a for a in dx)
+        assert _ulps_from(pin, exact) <= 4
 
 
 def test_norm_check_constant_function():
